@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "ann/sigmoid.hh"
+#include "ann/trainer.hh"
 #include "circuit/batch_evaluator.hh"
 #include "circuit/evaluator.hh"
 #include "circuit/lane_plane.hh"
@@ -453,6 +454,45 @@ BM_DeepMuxForwardFaulty(benchmark::State &state)
     sweepModel(state, deep, sweepRows(12, 8));
 }
 BENCHMARK(BM_DeepMuxForwardFaulty)->Arg(0)->Arg(1);
+
+void
+BM_TrainStepFaulty(benchmark::State &state)
+{
+    // The hardware-in-the-loop retraining unit: online training row
+    // steps (forward, back-propagation, weight reload through the
+    // latches) on a wine-shaped 13-4-3 task mapped to the paper's
+    // 90-10-10 array, so most synapses are zero-weight padding. One
+    // multiplier in the padding carries seeded defects; it sees the
+    // same all-zero operands at every row. Arg 0 spatial, Arg 1
+    // systolic. Each iteration is one epoch over 8 rows plus the
+    // warm-start weight load.
+    MlpTopology topo{13, 4, 3};
+    auto accel = makeBackend(
+        state.range(0) ? BackendKind::Systolic : BackendKind::Spatial,
+        AcceleratorConfig(), topo);
+    Rng rng(41);
+    accel->injectDefects({UnitKind::Multiplier, Layer::Hidden, 6, 50}, 4,
+                         rng);
+    Dataset rows;
+    rows.name = "train_step";
+    rows.numAttributes = topo.inputs;
+    rows.numClasses = topo.outputs;
+    rows.rows = sweepRows(topo.inputs, 9);
+    rows.rows.resize(8);
+    rows.labels = {0, 1, 2, 0, 1, 2, 0, 1};
+    MlpWeights init(topo);
+    Rng wr(7);
+    init.initRandom(wr, 1.2);
+    Trainer trainer(Hyper{topo.hidden, 1, 0.1, 0.1});
+    for (auto _ : state) {
+        MlpWeights w = trainer.train(*accel, rows, rng, &init);
+        benchmark::DoNotOptimize(w);
+    }
+    state.counters["rows/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * rows.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TrainStepFaulty)->Arg(0)->Arg(1);
 
 } // namespace
 

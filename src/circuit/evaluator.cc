@@ -59,6 +59,7 @@ Evaluator::reset()
 {
     std::fill(netVal.begin(), netVal.end(), 0);
     std::fill(delayStore.begin(), delayStore.end(), 0);
+    memoValid = false;
 }
 
 void
@@ -66,6 +67,7 @@ Evaluator::setInput(size_t index, bool value)
 {
     dtann_assert(index < nl.inputs().size(), "input index out of range");
     netVal[nl.inputs()[index]] = value ? 1 : 0;
+    memoValid = false;
 }
 
 void
@@ -81,6 +83,7 @@ Evaluator::setInputRange(size_t offset, size_t width, uint64_t bits)
                  "input range out of bounds");
     for (size_t i = 0; i < width; ++i)
         netVal[nl.inputs()[offset + i]] = (bits >> i) & 1;
+    memoValid = false;
 }
 
 uint32_t
@@ -109,6 +112,7 @@ Evaluator::evaluate()
 {
     runSweeps(nullptr);
     latchDelayed();
+    memoValid = false;
 }
 
 void
@@ -153,10 +157,11 @@ Evaluator::runSweeps(const std::vector<uint32_t> *active)
         oscillated = true;
 }
 
-void
+bool
 Evaluator::latchDelayed()
 {
     // Latch new pending values of delayed gates for the next round.
+    bool changed = false;
     if (haveFaults) {
         for (uint32_t gi : faultSet.delayed) {
             uint8_t pending;
@@ -169,9 +174,11 @@ Evaluator::latchDelayed()
                 pending =
                     gateEval(nl.gate(gi).kind, gateInputs(gi)) ? 1 : 0;
             }
+            changed |= delayStore[gi] != pending;
             delayStore[gi] = pending;
         }
     }
+    return changed;
 }
 
 bool
@@ -202,31 +209,48 @@ Evaluator::outputRange(size_t offset, size_t width) const
 uint64_t
 Evaluator::evaluateBits(uint64_t input_bits)
 {
+    if (memoValid && input_bits == memoIn) {
+        // The last call ran from this very state under this input
+        // and moved nothing, so a full evaluation would run one
+        // sweep that changes nothing and return the same bits.
+        gateEvalCount +=
+            cone.valid ? cone.activeGates.size() : nl.numGates();
+        sweeps = 0;
+        oscillated = false;
+        return memoOut;
+    }
     setInputBits(input_bits, nl.inputs().size());
+    // Two call sites, so the full sweep keeps its null-specialized
+    // inner loop.
+    if (cone.valid)
+        runSweeps(&cone.activeGates);
+    else
+        runSweeps(nullptr);
+    bool stores_moved = latchDelayed();
     size_t n_out = std::min<size_t>(nl.outputs().size(), 64);
-    if (!cone.valid) {
-        evaluate();
-        return outputBits(n_out);
+    uint64_t bits = outputBits(n_out);
+    if (cone.valid) {
+        // Pruned path: only the fault cone (plus its fan-in support)
+        // is simulated; every output outside the cone is
+        // bit-identical to the clean operator, so those bits come
+        // from the native model. The cone is only valid for
+        // feedback-free netlists, where all fault semantics (MEM
+        // retention, delayed outputs, stuck-ats) depend solely on
+        // the active gates' nets, which persist across calls exactly
+        // as in the full sweep.
+        bits = (cleanFn(input_bits) & ~cone.outputMask) |
+            (bits & cone.outputMask);
+        // Keep granular output() reads consistent: write the clean
+        // bits back into the output nets the pruned sweep never
+        // touched.
+        for (size_t o = 0; o < n_out; ++o) {
+            if (!(cone.outputMask >> o & 1))
+                netVal[nl.outputs()[o]] = (bits >> o) & 1;
+        }
     }
-
-    // Pruned path: only the fault cone (plus its fan-in support) is
-    // simulated; every output outside the cone is bit-identical to
-    // the clean operator, so those bits come from the native model.
-    // The cone is only valid for feedback-free netlists, where all
-    // fault semantics (MEM retention, delayed outputs, stuck-ats)
-    // depend solely on the active gates' nets, which persist across
-    // calls exactly as in the full sweep.
-    runSweeps(&cone.activeGates);
-    latchDelayed();
-    uint64_t sim = outputBits(n_out);
-    uint64_t clean = cleanFn(input_bits);
-    uint64_t bits = (clean & ~cone.outputMask) | (sim & cone.outputMask);
-    // Keep granular output() reads consistent: write the clean bits
-    // back into the output nets the pruned sweep never touched.
-    for (size_t o = 0; o < n_out; ++o) {
-        if (!(cone.outputMask >> o & 1))
-            netVal[nl.outputs()[o]] = (bits >> o) & 1;
-    }
+    memoValid = sweeps == 0 && !stores_moved;
+    memoIn = input_bits;
+    memoOut = bits;
     return bits;
 }
 

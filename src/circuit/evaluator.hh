@@ -69,7 +69,17 @@ class Evaluator
     /** Read @p width outputs starting at @p offset as packed bits. */
     uint64_t outputRange(size_t offset, size_t width) const;
 
-    /** Convenience: set all inputs, evaluate, return all outputs. */
+    /**
+     * Convenience: set all inputs, evaluate, return all outputs.
+     *
+     * Memoizes fixpoints: a call whose first sweep changes no net
+     * and whose latch step changes no delay store leaves the state
+     * exactly as it found it, so the next call with the same input
+     * would repeat it bit for bit. That call returns the stored
+     * output and credits the one no-op sweep instead (gateEvals(),
+     * lastSweeps() and lastOscillated() read exactly as without
+     * the memo). reset(), setInput*() and evaluate() drop the memo.
+     */
     uint64_t evaluateBits(uint64_t input_bits);
 
     /** Number of sweeps used by the last evaluate(). */
@@ -120,14 +130,23 @@ class Evaluator
     bool oscillated = false;
     uint64_t gateEvalCount = 0;
 
+    /** evaluateBits() memo: set while the state is the one the
+     *  call with input memoIn (output memoOut) found and kept. */
+    bool memoValid = false;
+    uint64_t memoIn = 0;
+    uint64_t memoOut = 0;
+
     /** Compute the (fault-adjusted) packed inputs of gate @p gi. */
     uint32_t gateInputs(size_t gi) const;
 
     /** Sweep @p active gates (all gates when null) until stable. */
     void runSweeps(const std::vector<uint32_t> *active);
 
-    /** Latch pending values of delayed gates for the next round. */
-    void latchDelayed();
+    /**
+     * Latch pending values of delayed gates for the next round.
+     * @return true when any delay store changed
+     */
+    bool latchDelayed();
 };
 
 } // namespace dtann

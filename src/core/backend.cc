@@ -1,10 +1,10 @@
 #include "core/backend.hh"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <tuple>
-
-#include <array>
 
 #include "ann/sigmoid.hh"
 #include "circuit/lane_plane.hh"
@@ -184,7 +184,18 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
           buildRippleAdder(24, config.faStyle, false))),
       latchNl(std::make_shared<Netlist>(buildLatchRegister(16))),
       actNl(std::make_shared<Netlist>(
-          buildSigmoidUnit(logisticPwlTable(), config.faStyle)))
+          buildSigmoidUnit(logisticPwlTable(), config.faStyle))),
+      hidW(static_cast<size_t>(config.hidden) *
+           static_cast<size_t>(config.inputs + 1)),
+      outW(static_cast<size_t>(config.outputs) *
+           static_cast<size_t>(config.hidden + 1)),
+      hiddenAct(static_cast<size_t>(config.hidden)),
+      hidSums(static_cast<size_t>(config.hidden)),
+      unitFlags(4 * 2 *
+                static_cast<size_t>(std::max(config.hidden,
+                                             config.outputs)) *
+                static_cast<size_t>(std::max(config.inputs,
+                                             config.hidden) + 1))
 {
     dtann_assert(logical.inputs <= cfg.inputs &&
                      logical.hidden <= cfg.hidden &&
@@ -221,6 +232,52 @@ HardwareBackend::simFor(const UnitSite &site)
     return it == faulty.end() ? nullptr : it->second.get();
 }
 
+size_t
+HardwareBackend::flagIndex(const UnitSite &site) const
+{
+    // [kind][layer][neuron][index]: every site of either backend
+    // has neuron < max(hidden, outputs) and index <= max(inputs,
+    // hidden).
+    size_t neurons =
+        static_cast<size_t>(std::max(cfg.hidden, cfg.outputs));
+    size_t stride =
+        static_cast<size_t>(std::max(cfg.inputs, cfg.hidden) + 1);
+    return ((static_cast<size_t>(site.kind) * 2 +
+             static_cast<size_t>(site.layer)) * neurons +
+            static_cast<size_t>(site.neuron)) * stride +
+        static_cast<size_t>(site.index);
+}
+
+void
+HardwareBackend::markUnit(const UnitSite &phys, uint8_t bit)
+{
+    dtann_assert(flagIndex(phys) < unitFlags.size(),
+                 "site %s outside the array", phys.describe().c_str());
+    int neurons = std::max(cfg.hidden, cfg.outputs);
+    int stride = std::max(cfg.inputs, cfg.hidden) + 1;
+    for (Layer layer : {Layer::Hidden, Layer::Output})
+        for (int n = 0; n < neurons; ++n)
+            for (int i = 0; i < stride; ++i) {
+                UnitSite pass{phys.kind, layer, n, i};
+                if (physicalSite(pass) == phys)
+                    unitFlags[flagIndex(pass)] |= bit;
+            }
+}
+
+void
+HardwareBackend::unmarkAll(uint8_t bit)
+{
+    for (uint8_t &f : unitFlags)
+        f &= static_cast<uint8_t>(~bit);
+}
+
+bool
+HardwareBackend::plainUnit(UnitKind kind, Layer layer, int neuron,
+                           int index) const
+{
+    return unitFlags[flagIndex({kind, layer, neuron, index})] == 0;
+}
+
 std::vector<InjectionRecord>
 HardwareBackend::injectDefects(const UnitSite &pass_site, int count,
                                Rng &rng)
@@ -229,6 +286,7 @@ HardwareBackend::injectDefects(const UnitSite &pass_site, int count,
     // shared (pass-multiplexed) unit lands on the same simulation
     // the forward paths look up.
     const UnitSite site = physicalSite(pass_site);
+    markUnit(site, kHostsDefects);
     std::shared_ptr<const Netlist> nl;
     CleanFn clean;
     switch (site.kind) {
@@ -280,6 +338,7 @@ HardwareBackend::clearDefects()
 {
     faulty.clear();
     probes.clear();
+    unmarkAll(kHostsDefects);
 }
 
 std::vector<UnitSite>
@@ -328,12 +387,14 @@ void
 HardwareBackend::bypassUnit(const UnitSite &site)
 {
     bypassed.insert(physicalSite(site));
+    markUnit(physicalSite(site), kBypassed);
 }
 
 void
 HardwareBackend::clearBypasses()
 {
     bypassed.clear();
+    unmarkAll(kBypassed);
 }
 
 bool
@@ -411,10 +472,10 @@ HardwareBackend::unitLatchStore(Layer layer, int neuron, int synapse,
                                 Fix16 d)
 {
     UnitSite pass{UnitKind::WeightLatch, layer, neuron, synapse};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site))
+    uint8_t flags = unitFlags[flagIndex(pass)];
+    if (flags & kBypassed)
         return Fix16(); // latch disconnected: weight reads as zero
-    OperatorSim *sim = simFor(site);
+    OperatorSim *sim = flags ? simFor(physicalSite(pass)) : nullptr;
     if (!sim)
         return d;
     // Open the latch (EN=1) with D applied, then close it.
@@ -432,10 +493,10 @@ HardwareBackend::unitMul(Layer layer, int neuron, int synapse, Fix16 w,
                          Fix16 x)
 {
     UnitSite pass{UnitKind::Multiplier, layer, neuron, synapse};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site))
+    uint8_t flags = unitFlags[flagIndex(pass)];
+    if (flags & kBypassed)
         return Fix16(); // product gated to zero
-    OperatorSim *sim = simFor(site);
+    OperatorSim *sim = flags ? simFor(physicalSite(pass)) : nullptr;
     Fix16 clean = Fix16::hwMul(w, x);
     if (!sim)
         return clean;
@@ -454,10 +515,10 @@ HardwareBackend::unitAdd(Layer layer, int neuron, int stage, Acc24 a,
                          Acc24 b)
 {
     UnitSite pass{UnitKind::AdderStage, layer, neuron, stage};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site))
+    uint8_t flags = unitFlags[flagIndex(pass)];
+    if (flags & kBypassed)
         return a; // stage skipped: accumulator passes through
-    OperatorSim *sim = simFor(site);
+    OperatorSim *sim = flags ? simFor(physicalSite(pass)) : nullptr;
     Acc24 clean = Acc24::hwAdd(a, b);
     if (!sim)
         return clean;
@@ -478,10 +539,10 @@ Fix16
 HardwareBackend::unitAct(Layer layer, int neuron, Fix16 x)
 {
     UnitSite pass{UnitKind::Activation, layer, neuron, 0};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site))
+    uint8_t flags = unitFlags[flagIndex(pass)];
+    if (flags & kBypassed)
         return Fix16(); // neuron silenced
-    OperatorSim *sim = simFor(site);
+    OperatorSim *sim = flags ? simFor(physicalSite(pass)) : nullptr;
     Fix16 clean = logisticPwlFix(x);
     if (!sim)
         return clean;
@@ -498,13 +559,13 @@ HardwareBackend::unitMulLanes(Layer layer, int neuron, int synapse,
                               size_t lanes)
 {
     UnitSite pass{UnitKind::Multiplier, layer, neuron, synapse};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site)) {
+    uint8_t flags = unitFlags[flagIndex(pass)];
+    if (flags & kBypassed) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = Fix16(); // product gated to zero
         return;
     }
-    OperatorSim *sim = simFor(site);
+    OperatorSim *sim = flags ? simFor(physicalSite(pass)) : nullptr;
     if (!sim) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = Fix16::hwMul(w, x[l]);
@@ -533,10 +594,10 @@ HardwareBackend::unitAddLanes(Layer layer, int neuron, int stage,
                               Acc24 *acc, const Acc24 *b, size_t lanes)
 {
     UnitSite pass{UnitKind::AdderStage, layer, neuron, stage};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site))
+    uint8_t flags = unitFlags[flagIndex(pass)];
+    if (flags & kBypassed)
         return; // stage skipped: accumulator passes through
-    OperatorSim *sim = simFor(site);
+    OperatorSim *sim = flags ? simFor(physicalSite(pass)) : nullptr;
     if (!sim) {
         for (size_t l = 0; l < lanes; ++l)
             acc[l] = Acc24::hwAdd(acc[l], b[l]);
@@ -565,13 +626,13 @@ HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
                               Fix16 *out, size_t lanes)
 {
     UnitSite pass{UnitKind::Activation, layer, neuron, 0};
-    UnitSite site = physicalSite(pass);
-    if (isBypassed(site)) {
+    uint8_t flags = unitFlags[flagIndex(pass)];
+    if (flags & kBypassed) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = Fix16(); // neuron silenced
         return;
     }
-    OperatorSim *sim = simFor(site);
+    OperatorSim *sim = flags ? simFor(physicalSite(pass)) : nullptr;
     if (!sim) {
         for (size_t l = 0; l < lanes; ++l)
             out[l] = logisticPwlFix(x[l]);
@@ -589,6 +650,208 @@ HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
         pr.amplitude.add(std::abs(got.toDouble() - clean.toDouble()));
         out[l] = got;
     }
+}
+
+Fix16 *
+HardwareBackend::weightRow(Layer pass, int neuron)
+{
+    return pass == Layer::Hidden
+        ? &hidW[static_cast<size_t>(neuron) *
+                static_cast<size_t>(cfg.inputs + 1)]
+        : &outW[static_cast<size_t>(neuron) *
+                static_cast<size_t>(cfg.hidden + 1)];
+}
+
+void
+HardwareBackend::setWeights(const MlpWeights &w)
+{
+    dtann_assert(w.topology() == logical, "weight topology mismatch");
+    for (Layer pass : {Layer::Hidden, Layer::Output}) {
+        bool hid = pass == Layer::Hidden;
+        int neurons = hid ? cfg.hidden : cfg.outputs;
+        int fanin = hid ? cfg.inputs : cfg.hidden;
+        int used_neurons = hid ? logical.hidden : logical.outputs;
+        int used_fanin = hid ? logical.inputs : logical.hidden;
+        for (int n = 0; n < neurons; ++n) {
+            Fix16 *row = weightRow(pass, n);
+            for (int i = 0; i <= fanin; ++i) {
+                // Bias synapse last, at both the logical and the
+                // physical fan-in.
+                int li = i < used_fanin ? i
+                    : i == fanin        ? used_fanin
+                                        : -1;
+                double v = 0.0;
+                if (n < used_neurons && li >= 0)
+                    v = hid ? w.hid(n, li) : w.out(n, li);
+                row[i] = unitLatchStore(pass, n, i, Fix16::fromDouble(v));
+            }
+        }
+    }
+}
+
+void
+HardwareBackend::forwardLayer(Layer pass, std::span<const Fix16> in,
+                              std::span<Fix16> out)
+{
+    const Fix16 one = Fix16::fromDouble(1.0);
+    int fanin = pass == Layer::Hidden ? cfg.inputs : cfg.hidden;
+    int neurons = pass == Layer::Hidden ? cfg.hidden : cfg.outputs;
+    for (int n = 0; n < neurons; ++n) {
+        // Products: one multiplier per synapse, bias last, folded
+        // into the neuron's adder chain.
+        const Fix16 *weights = weightRow(pass, n);
+        Acc24 acc = Acc24::fromFix16(
+            unitMul(pass, n, 0, weights[0], in[0]));
+        for (int i = 1; i <= fanin; ++i) {
+            // A zero weight through plain units adds nothing:
+            // hwMul(0, x) = 0 and hwAdd(acc, 0) = acc.
+            if (weights[i].raw() == 0 &&
+                plainUnit(UnitKind::Multiplier, pass, n, i) &&
+                plainUnit(UnitKind::AdderStage, pass, n, i - 1))
+                continue;
+            Fix16 x = i < fanin ? in[static_cast<size_t>(i)] : one;
+            Fix16 p = unitMul(pass, n, i, weights[i], x);
+            acc = unitAdd(pass, n, i - 1, acc, Acc24::fromFix16(p));
+        }
+        if (pass == Layer::Hidden)
+            hidSums[static_cast<size_t>(n)] = acc;
+        // The clamp sits after the activation unit on the datapath
+        // only; bistAct() reads the unit raw via unitAct().
+        out[static_cast<size_t>(n)] =
+            clampValue(pass, unitAct(pass, n, acc.toFix16Sat()));
+    }
+}
+
+void
+HardwareBackend::forwardLayerLanes(Layer pass,
+                                   const std::vector<const Fix16 *> &in,
+                                   const std::vector<Fix16 *> &out,
+                                   size_t lanes)
+{
+    dtann_assert(lanes >= 1 && lanes <= kMaxLanes,
+                 "lane count out of range");
+    const Fix16 one = Fix16::fromDouble(1.0);
+    int fanin = pass == Layer::Hidden ? cfg.inputs : cfg.hidden;
+    int neurons = pass == Layer::Hidden ? cfg.hidden : cfg.outputs;
+    if (pass == Layer::Hidden)
+        hidSumsLanes.resize(lanes * static_cast<size_t>(cfg.hidden));
+    std::array<Fix16, kMaxLanes> x, p;
+    std::array<Acc24, kMaxLanes> acc, addend;
+    for (int n = 0; n < neurons; ++n) {
+        const Fix16 *weights = weightRow(pass, n);
+        for (size_t l = 0; l < lanes; ++l)
+            x[l] = in[l][0];
+        unitMulLanes(pass, n, 0, weights[0], x.data(), p.data(), lanes);
+        for (size_t l = 0; l < lanes; ++l)
+            acc[l] = Acc24::fromFix16(p[l]);
+        for (int i = 1; i <= fanin; ++i) {
+            // The same zero-weight elision as forwardLayer().
+            if (weights[i].raw() == 0 &&
+                plainUnit(UnitKind::Multiplier, pass, n, i) &&
+                plainUnit(UnitKind::AdderStage, pass, n, i - 1))
+                continue;
+            for (size_t l = 0; l < lanes; ++l)
+                x[l] = i < fanin ? in[l][i] : one;
+            unitMulLanes(pass, n, i, weights[i], x.data(), p.data(),
+                         lanes);
+            for (size_t l = 0; l < lanes; ++l)
+                addend[l] = Acc24::fromFix16(p[l]);
+            unitAddLanes(pass, n, i - 1, acc.data(), addend.data(),
+                         lanes);
+        }
+        // Mirror the scalar loop: the readable output latches hold
+        // the last processed row's sums. The per-lane sums feed the
+        // time-multiplexed batch path's key-logic accumulation.
+        if (pass == Layer::Hidden) {
+            hidSums[static_cast<size_t>(n)] = acc[lanes - 1];
+            for (size_t l = 0; l < lanes; ++l)
+                hidSumsLanes[l * static_cast<size_t>(cfg.hidden) +
+                             static_cast<size_t>(n)] = acc[l];
+        }
+        for (size_t l = 0; l < lanes; ++l)
+            x[l] = acc[l].toFix16Sat();
+        unitActLanes(pass, n, x.data(), p.data(), lanes);
+        // Clamp in lane (= row) order after the unit, mirroring the
+        // scalar path bit for bit at every lane width.
+        for (size_t l = 0; l < lanes; ++l)
+            out[l][n] = clampValue(pass, p[l]);
+    }
+}
+
+Activations
+HardwareBackend::forward(std::span<const double> input)
+{
+    dtann_assert(static_cast<int>(input.size()) == logical.inputs,
+                 "logical input arity mismatch");
+    std::vector<Fix16> phys(static_cast<size_t>(cfg.inputs));
+    for (size_t i = 0; i < input.size(); ++i)
+        phys[i] = Fix16::fromDouble(input[i]);
+    std::vector<Fix16> out(static_cast<size_t>(cfg.outputs));
+    forwardLayer(Layer::Hidden, phys, hiddenAct);
+    forwardLayer(Layer::Output, hiddenAct, out);
+
+    Activations act(static_cast<size_t>(logical.hidden),
+                    static_cast<size_t>(logical.outputs));
+    for (int j = 0; j < logical.hidden; ++j)
+        act.hidden()[static_cast<size_t>(j)] =
+            hiddenAct[static_cast<size_t>(j)].toDouble();
+    for (int k = 0; k < logical.outputs; ++k)
+        act.output()[static_cast<size_t>(k)] =
+            out[static_cast<size_t>(k)].toDouble();
+    return act;
+}
+
+std::vector<Activations>
+HardwareBackend::forwardBatch(std::span<const std::vector<double>> inputs)
+{
+    size_t rows = inputs.size();
+    std::vector<std::vector<Fix16>> phys(
+        rows, std::vector<Fix16>(static_cast<size_t>(cfg.inputs)));
+    for (size_t r = 0; r < rows; ++r) {
+        dtann_assert(static_cast<int>(inputs[r].size()) ==
+                         logical.inputs,
+                     "logical input arity mismatch");
+        for (size_t i = 0; i < inputs[r].size(); ++i)
+            phys[r][i] = Fix16::fromDouble(inputs[r][i]);
+    }
+
+    std::vector<std::vector<Fix16>> hid(
+        rows, std::vector<Fix16>(static_cast<size_t>(cfg.hidden)));
+    std::vector<std::vector<Fix16>> outv(
+        rows, std::vector<Fix16>(static_cast<size_t>(cfg.outputs)));
+    size_t width = batchLaneWidth();
+    for (size_t pos = 0; pos < rows; pos += width) {
+        size_t lanes = std::min(width, rows - pos);
+        std::vector<const Fix16 *> inPtr(lanes);
+        std::vector<const Fix16 *> hidIn(lanes);
+        std::vector<Fix16 *> hidPtr(lanes), outPtr(lanes);
+        for (size_t l = 0; l < lanes; ++l) {
+            inPtr[l] = phys[pos + l].data();
+            hidIn[l] = hid[pos + l].data();
+            hidPtr[l] = hid[pos + l].data();
+            outPtr[l] = outv[pos + l].data();
+        }
+        forwardLayerLanes(Layer::Hidden, inPtr, hidPtr, lanes);
+        forwardLayerLanes(Layer::Output, hidIn, outPtr, lanes);
+    }
+
+    std::vector<Activations> acts(rows);
+    for (size_t r = 0; r < rows; ++r) {
+        Activations &act = acts[r];
+        act = Activations(static_cast<size_t>(logical.hidden),
+                          static_cast<size_t>(logical.outputs));
+        for (int j = 0; j < logical.hidden; ++j)
+            act.hidden()[static_cast<size_t>(j)] =
+                hid[r][static_cast<size_t>(j)].toDouble();
+        for (int k = 0; k < logical.outputs; ++k)
+            act.output()[static_cast<size_t>(k)] =
+                outv[r][static_cast<size_t>(k)].toDouble();
+    }
+    // Mirror per-row forward(): the activation scratch holds the
+    // last processed row.
+    if (rows > 0)
+        hiddenAct = hid[rows - 1];
+    return acts;
 }
 
 bool

@@ -18,10 +18,10 @@
  *
  * The fault-hosting machinery (shared operator netlists, per-site
  * gate-level simulations, bypass muxes, clamp windows, deviation
- * probes) is identical across backends and lives here concretely;
- * a backend contributes its *dataflow* — which physical unit
- * executes which (pass, neuron, operand) operation — via
- * physicalSite() and its forward paths. SpatialBackend
+ * probes) and the per-neuron multiply/add chain are identical
+ * across backends and live here concretely; a backend contributes
+ * its *dataflow* — which physical unit executes which (pass,
+ * neuron, operand) operation — via physicalSite(). SpatialBackend
  * (core/accelerator.hh) keeps the paper's per-layer dedicated
  * units; SystolicBackend (core/systolic.hh) time-multiplexes a
  * weight-stationary PE grid across both layers.
@@ -162,11 +162,11 @@ std::string backendNameList();
  *
  * Owns the shared unit netlists and every piece of fault state:
  * gate-level simulations of faulty units, mitigation bypass muxes,
- * activation clamp windows, and deviation probes. Concrete
- * backends implement the dataflow (setWeights/forward/forwardBatch)
- * on top of the protected pass-addressed unit operations, and
- * describe their physical unit population via unitCount() /
- * enumerateSites() / physicalSite().
+ * activation clamp windows, and deviation probes, and runs the
+ * forward pass: per pass, each neuron's multiply/add chain over
+ * the pass-addressed unit operations. Concrete backends describe
+ * their physical unit population via unitCount() /
+ * enumerateSites() and map operations onto it via physicalSite().
  */
 class HardwareBackend : public ForwardModel
 {
@@ -190,6 +190,33 @@ class HardwareBackend : public ForwardModel
 
     /** Aggregate simulation work counters over all faulty units. */
     SimCounters simCounters() const override;
+
+    /**
+     * Quantize logical weights and store them through the (possibly
+     * faulty) weight latches — the DMA write path. Logical weights
+     * land in the top-left corner of each pass (bias synapse last);
+     * every other synapse stores 0.
+     */
+    void setWeights(const MlpWeights &w) override;
+
+    /** Forward one logical input row through both passes. */
+    Activations forward(std::span<const double> input) override;
+
+    /**
+     * Forward a batch of logical input rows, evaluating each faulty
+     * unit up to batchLaneWidth() rows per gate-level sweep
+     * (state-free fault sets; 64/256/512 lanes per the DTANN_LANES
+     * knob) or in row order through its scalar simulation
+     * otherwise. Each pass runs over a whole lane chunk before the
+     * next, which is bit-identical to calling forward() per row at
+     * every lane width, including the per-unit deviation-probe
+     * update order, as long as no unit serves both passes.
+     */
+    std::vector<Activations> forwardBatch(
+        std::span<const std::vector<double>> inputs) override;
+
+    /** Pre-activation sums of the last hidden-pass run. */
+    const std::vector<Acc24> &hiddenSums() const { return hidSums; }
 
     /**
      * True when every faulty unit's simulation is a pure function
@@ -329,6 +356,28 @@ class HardwareBackend : public ForwardModel
     /** Faulty-unit lookup; null when the site is clean. */
     OperatorSim *simFor(const UnitSite &site);
 
+    /**
+     * True when the unit executing pass operation (kind, layer,
+     * neuron, index) neither hosts defects nor is bypassed, so it
+     * computes native fixed-point arithmetic.
+     */
+    bool plainUnit(UnitKind kind, Layer layer, int neuron,
+                   int index) const;
+
+    /** Stored (post-latch) weights of one neuron of @p pass, bias
+     *  last. */
+    Fix16 *weightRow(Layer pass, int neuron);
+
+    /** Run one pass (scalar schedule). */
+    void forwardLayer(Layer pass, std::span<const Fix16> in,
+                      std::span<Fix16> out);
+
+    /** Run one pass over <= kMaxLanes rows (one pointer each). */
+    void forwardLayerLanes(Layer pass,
+                           const std::vector<const Fix16 *> &in,
+                           const std::vector<Fix16 *> &out,
+                           size_t lanes);
+
     /** Apply @p layer's clamp window to one datapath value. */
     Fix16 clampValue(Layer layer, Fix16 x);
 
@@ -367,6 +416,37 @@ class HardwareBackend : public ForwardModel
     /** Deviation probes (pass-address keyed; see physicalSite()). */
     std::map<UnitSite, DeviationProbe> probes;
     DeviationProbe cleanProbe; // returned for clean sites
+
+    /** Stored physical weights (post-latch values), per pass. */
+    std::vector<Fix16> hidW; // [hidden][inputs+1]
+    std::vector<Fix16> outW; // [outputs][hidden+1]
+
+    /** Hidden activations of the last processed row. */
+    std::vector<Fix16> hiddenAct;
+    /** Pre-activation hidden sums of the last processed row. */
+    std::vector<Acc24> hidSums;
+    /** [lane * hidden + neuron] sums of the last lanes run. */
+    std::vector<Acc24> hidSumsLanes;
+
+  private:
+    /** unitFlags bits. */
+    static constexpr uint8_t kHostsDefects = 1;
+    static constexpr uint8_t kBypassed = 2;
+
+    /**
+     * Dense flags (kHostsDefects | kBypassed) of the physical unit
+     * each pass address folds onto, mirroring `faulty` and
+     * `bypassed`: the unit operations tell a plain unit without a
+     * physicalSite() fold or a tree lookup.
+     */
+    std::vector<uint8_t> unitFlags;
+
+    /** unitFlags slot of a pass address. */
+    size_t flagIndex(const UnitSite &site) const;
+    /** Set @p bit on every pass address that folds onto @p phys. */
+    void markUnit(const UnitSite &phys, uint8_t bit);
+    /** Clear @p bit everywhere. */
+    void unmarkAll(uint8_t bit);
 };
 
 /**

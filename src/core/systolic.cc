@@ -1,9 +1,7 @@
 #include "core/systolic.hh"
 
 #include <algorithm>
-#include <array>
 
-#include "circuit/lane_plane.hh"
 #include "common/logging.hh"
 
 namespace dtann {
@@ -13,30 +11,8 @@ SystolicBackend::SystolicBackend(const AcceleratorConfig &config,
     : HardwareBackend(config, logical_topo),
       rows(std::max(config.inputs, config.hidden) + 1),
       cols(std::max(config.hidden, config.outputs)),
-      cell(config.faStyle),
-      hidW(static_cast<size_t>(config.hidden) *
-           static_cast<size_t>(config.inputs + 1)),
-      outW(static_cast<size_t>(config.outputs) *
-           static_cast<size_t>(config.hidden + 1)),
-      hiddenAct(static_cast<size_t>(config.hidden)),
-      hidSums(static_cast<size_t>(config.hidden))
+      cell(config.faStyle)
 {
-}
-
-Fix16 &
-SystolicBackend::hidWAt(int j, int i)
-{
-    return hidW[static_cast<size_t>(j) *
-                    static_cast<size_t>(cfg.inputs + 1) +
-                static_cast<size_t>(i)];
-}
-
-Fix16 &
-SystolicBackend::outWAt(int k, int j)
-{
-    return outW[static_cast<size_t>(k) *
-                    static_cast<size_t>(cfg.hidden + 1) +
-                static_cast<size_t>(j)];
 }
 
 int
@@ -126,135 +102,6 @@ SystolicBackend::probe(const UnitSite &site) const
     return mergedProbe;
 }
 
-void
-SystolicBackend::setWeights(const MlpWeights &w)
-{
-    dtann_assert(w.topology() == logical, "weight topology mismatch");
-    // Hidden-pass stationary weights: logical weights into the
-    // top-left of the grid, bias row last; everything else 0. Each
-    // store goes through the PE's (possibly faulty) latch.
-    for (int j = 0; j < cfg.hidden; ++j) {
-        for (int i = 0; i <= cfg.inputs; ++i) {
-            double v = 0.0;
-            if (j < logical.hidden) {
-                if (i < logical.inputs)
-                    v = w.hid(j, i);
-                else if (i == cfg.inputs)
-                    v = w.hid(j, logical.inputs); // bias synapse
-            }
-            Fix16 q = Fix16::fromDouble(v);
-            hidWAt(j, i) = unitLatchStore(Layer::Hidden, j, i, q);
-        }
-    }
-    // Output-pass stationary weights: the same latches, reloaded.
-    for (int k = 0; k < cfg.outputs; ++k) {
-        for (int j = 0; j <= cfg.hidden; ++j) {
-            double v = 0.0;
-            if (k < logical.outputs) {
-                if (j < logical.hidden)
-                    v = w.out(k, j);
-                else if (j == cfg.hidden)
-                    v = w.out(k, logical.hidden); // bias synapse
-            }
-            Fix16 q = Fix16::fromDouble(v);
-            outWAt(k, j) = unitLatchStore(Layer::Output, k, j, q);
-        }
-    }
-}
-
-void
-SystolicBackend::forwardPass(Layer pass, std::span<const Fix16> in,
-                             std::span<Fix16> out)
-{
-    const Fix16 one = Fix16::fromDouble(1.0);
-    int fanin = pass == Layer::Hidden ? cfg.inputs : cfg.hidden;
-    int neurons = pass == Layer::Hidden ? cfg.hidden : cfg.outputs;
-    for (int n = 0; n < neurons; ++n) {
-        // Column n: the input streams down the rows, each PE
-        // multiplying by its stationary weight and folding the
-        // product into the partial sum — the same multiply/add
-        // chain as a spatial neuron, executed on shared silicon.
-        Fix16 *weights = pass == Layer::Hidden
-            ? &hidWAt(n, 0) : &outWAt(n, 0);
-        Acc24 acc = Acc24::fromFix16(
-            unitMul(pass, n, 0, weights[0], in[0]));
-        for (int i = 1; i <= fanin; ++i) {
-            Fix16 x = i < fanin ? in[static_cast<size_t>(i)] : one;
-            Fix16 p = unitMul(pass, n, i, weights[i], x);
-            acc = unitAdd(pass, n, i - 1, acc, Acc24::fromFix16(p));
-        }
-        if (pass == Layer::Hidden)
-            hidSums[static_cast<size_t>(n)] = acc;
-        out[static_cast<size_t>(n)] =
-            clampValue(pass, unitAct(pass, n, acc.toFix16Sat()));
-    }
-}
-
-void
-SystolicBackend::forwardPassLanes(Layer pass,
-                                  const std::vector<const Fix16 *> &in,
-                                  const std::vector<Fix16 *> &out,
-                                  size_t lanes)
-{
-    dtann_assert(lanes >= 1 && lanes <= kMaxLanes,
-                 "lane count out of range");
-    const Fix16 one = Fix16::fromDouble(1.0);
-    int fanin = pass == Layer::Hidden ? cfg.inputs : cfg.hidden;
-    int neurons = pass == Layer::Hidden ? cfg.hidden : cfg.outputs;
-    std::array<Fix16, kMaxLanes> x, p;
-    std::array<Acc24, kMaxLanes> acc, addend;
-    for (int n = 0; n < neurons; ++n) {
-        Fix16 *weights = pass == Layer::Hidden
-            ? &hidWAt(n, 0) : &outWAt(n, 0);
-        for (size_t l = 0; l < lanes; ++l)
-            x[l] = in[l][0];
-        unitMulLanes(pass, n, 0, weights[0], x.data(), p.data(), lanes);
-        for (size_t l = 0; l < lanes; ++l)
-            acc[l] = Acc24::fromFix16(p[l]);
-        for (int i = 1; i <= fanin; ++i) {
-            for (size_t l = 0; l < lanes; ++l)
-                x[l] = i < fanin ? in[l][i] : one;
-            unitMulLanes(pass, n, i, weights[i], x.data(), p.data(),
-                         lanes);
-            for (size_t l = 0; l < lanes; ++l)
-                addend[l] = Acc24::fromFix16(p[l]);
-            unitAddLanes(pass, n, i - 1, acc.data(), addend.data(),
-                         lanes);
-        }
-        if (pass == Layer::Hidden)
-            hidSums[static_cast<size_t>(n)] = acc[lanes - 1];
-        for (size_t l = 0; l < lanes; ++l)
-            x[l] = acc[l].toFix16Sat();
-        unitActLanes(pass, n, x.data(), p.data(), lanes);
-        for (size_t l = 0; l < lanes; ++l)
-            out[l][n] = clampValue(pass, p[l]);
-    }
-}
-
-Activations
-SystolicBackend::forward(std::span<const double> input)
-{
-    dtann_assert(static_cast<int>(input.size()) == logical.inputs,
-                 "logical input arity mismatch");
-    std::vector<Fix16> phys(static_cast<size_t>(cfg.inputs));
-    for (size_t i = 0; i < input.size(); ++i)
-        phys[i] = Fix16::fromDouble(input[i]);
-
-    forwardPass(Layer::Hidden, phys, hiddenAct);
-    std::vector<Fix16> out(static_cast<size_t>(cfg.outputs));
-    forwardPass(Layer::Output, hiddenAct, out);
-
-    Activations act(static_cast<size_t>(logical.hidden),
-                    static_cast<size_t>(logical.outputs));
-    for (int j = 0; j < logical.hidden; ++j)
-        act.hidden()[static_cast<size_t>(j)] =
-            hiddenAct[static_cast<size_t>(j)].toDouble();
-    for (int k = 0; k < logical.outputs; ++k)
-        act.output()[static_cast<size_t>(k)] =
-            out[static_cast<size_t>(k)].toDouble();
-    return act;
-}
-
 std::vector<Activations>
 SystolicBackend::forwardBatch(std::span<const std::vector<double>> inputs)
 {
@@ -267,55 +114,7 @@ SystolicBackend::forwardBatch(std::span<const std::vector<double>> inputs)
     // the exact per-row schedule.
     if (!batchPure())
         return rowLoopBatch(inputs);
-
-    size_t nrows = inputs.size();
-    std::vector<std::vector<Fix16>> phys(
-        nrows, std::vector<Fix16>(static_cast<size_t>(cfg.inputs)));
-    for (size_t r = 0; r < nrows; ++r) {
-        dtann_assert(static_cast<int>(inputs[r].size()) ==
-                         logical.inputs,
-                     "logical input arity mismatch");
-        for (size_t i = 0; i < inputs[r].size(); ++i)
-            phys[r][i] = Fix16::fromDouble(inputs[r][i]);
-    }
-
-    std::vector<std::vector<Fix16>> hid(
-        nrows, std::vector<Fix16>(static_cast<size_t>(cfg.hidden)));
-    std::vector<std::vector<Fix16>> outv(
-        nrows, std::vector<Fix16>(static_cast<size_t>(cfg.outputs)));
-    size_t width = batchLaneWidth();
-    for (size_t pos = 0; pos < nrows; pos += width) {
-        size_t lanes = std::min(width, nrows - pos);
-        std::vector<const Fix16 *> inPtr(lanes);
-        std::vector<const Fix16 *> hidIn(lanes);
-        std::vector<Fix16 *> hidPtr(lanes), outPtr(lanes);
-        for (size_t l = 0; l < lanes; ++l) {
-            inPtr[l] = phys[pos + l].data();
-            hidIn[l] = hid[pos + l].data();
-            hidPtr[l] = hid[pos + l].data();
-            outPtr[l] = outv[pos + l].data();
-        }
-        forwardPassLanes(Layer::Hidden, inPtr, hidPtr, lanes);
-        forwardPassLanes(Layer::Output, hidIn, outPtr, lanes);
-    }
-
-    std::vector<Activations> acts(nrows);
-    for (size_t r = 0; r < nrows; ++r) {
-        Activations &act = acts[r];
-        act = Activations(static_cast<size_t>(logical.hidden),
-                          static_cast<size_t>(logical.outputs));
-        for (int j = 0; j < logical.hidden; ++j)
-            act.hidden()[static_cast<size_t>(j)] =
-                hid[r][static_cast<size_t>(j)].toDouble();
-        for (int k = 0; k < logical.outputs; ++k)
-            act.output()[static_cast<size_t>(k)] =
-                outv[r][static_cast<size_t>(k)].toDouble();
-    }
-    // Mirror per-row forward(): the activation scratch holds the
-    // last processed row.
-    if (nrows > 0)
-        hiddenAct = hid[nrows - 1];
-    return acts;
+    return HardwareBackend::forwardBatch(inputs);
 }
 
 } // namespace dtann

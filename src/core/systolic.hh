@@ -68,8 +68,12 @@ class SystolicBackend : public HardwareBackend
      *  cost model. */
     const PeCell &peCell() const { return cell; }
 
-    void setWeights(const MlpWeights &w) override;
-    Activations forward(std::span<const double> input) override;
+    /**
+     * Batch forward. Chunking the passes (all hidden sweeps, then
+     * all output sweeps) reorders the operations a shared PE sees,
+     * so this batches only when every faulty simulation is a pure
+     * function and otherwise keeps the exact per-row schedule.
+     */
     std::vector<Activations> forwardBatch(
         std::span<const std::vector<double>> inputs) override;
 
@@ -104,32 +108,11 @@ class SystolicBackend : public HardwareBackend
     int cols;
     PeCell cell;
 
-    /** Per-pass stationary weights (post-latch values): the latch
-     *  at PE (r, c) is reloaded between passes. */
-    std::vector<Fix16> hidW; // [hidden][inputs+1]
-    std::vector<Fix16> outW; // [outputs][hidden+1]
-
-    std::vector<Fix16> hiddenAct;
-    std::vector<Acc24> hidSums;
-
     mutable DeviationProbe mergedProbe; // probe() scratch
-
-    Fix16 &hidWAt(int j, int i);
-    Fix16 &outWAt(int k, int j);
 
     /** Does either eligible pass use this grid unit? */
     bool usedBy(const SitePool &pool, UnitKind kind, int r,
                 int c) const;
-
-    /** Stream one pass through the grid (scalar schedule). */
-    void forwardPass(Layer pass, std::span<const Fix16> in,
-                     std::span<Fix16> out);
-
-    /** Stream one pass, <= kMaxLanes rows per PE sweep. */
-    void forwardPassLanes(Layer pass,
-                          const std::vector<const Fix16 *> &in,
-                          const std::vector<Fix16 *> &out,
-                          size_t lanes);
 };
 
 } // namespace dtann

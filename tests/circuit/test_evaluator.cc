@@ -5,7 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "ann/sigmoid.hh"
 #include "circuit/evaluator.hh"
+#include "common/rng.hh"
+#include "rtl/adder.hh"
+#include "rtl/clean_model.hh"
+#include "rtl/fault_inject.hh"
+#include "rtl/latch.hh"
+#include "rtl/multiplier.hh"
+#include "rtl/sigmoid_unit.hh"
 
 namespace dtann {
 namespace {
@@ -219,6 +230,213 @@ TEST(Evaluator, StatePersistsAcrossEvaluateCalls)
     ev.evaluateBits(0);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(ev.evaluateBits(1), 1u) << "iteration " << i;
+}
+
+/**
+ * @p count random gate-level faults of every stateful kind: MEM
+ * entries on top of a gate's clean truth table, delayed outputs,
+ * and stuck-at inputs/outputs.
+ */
+FaultSet
+randomStatefulFaults(const Netlist &nl, Rng &rng, int count)
+{
+    FaultSet f;
+    for (int k = 0; k < count; ++k) {
+        uint32_t gi = static_cast<uint32_t>(rng.nextUint(nl.numGates()));
+        const Gate &g = nl.gate(gi);
+        switch (rng.nextUint(3)) {
+          case 0: {
+            GateFunction clean = GateFunction::fromGateKind(g.kind);
+            uint32_t value = 0, mem = 0;
+            for (uint32_t c = 0; c < (1u << g.arity()); ++c) {
+                if (clean.eval(c) == LogicValue::One)
+                    value |= 1u << c;
+                if (rng.nextBool(0.3))
+                    mem |= 1u << c;
+            }
+            f.overrides[gi] = GateFunction(g.arity(), value, mem);
+            break;
+          }
+          case 1:
+            f.delayed.insert(gi);
+            break;
+          default:
+            f.stuckAt.push_back(
+                {gi,
+                 static_cast<int8_t>(
+                     static_cast<int>(rng.nextUint(
+                         static_cast<uint64_t>(g.arity()) + 1)) - 1),
+                 rng.nextBool()});
+            break;
+        }
+    }
+    return f;
+}
+
+/**
+ * An input stream mixing long runs of one vector (often all-zero,
+ * like an unused synapse's operands), period-2 pairs that differ in
+ * bit @p toggle (a latch's open/close cycle) and fresh vectors.
+ */
+std::vector<uint64_t>
+memoStream(Rng &rng, size_t inputs, int toggle, size_t len)
+{
+    auto fresh = [&] {
+        if (rng.nextBool(0.3))
+            return uint64_t{0};
+        return rng.nextUint(uint64_t{1} << inputs);
+    };
+    std::vector<uint64_t> s;
+    while (s.size() < len) {
+        uint64_t v = fresh();
+        switch (rng.nextUint(3)) {
+          case 0:
+            s.insert(s.end(), 2 + rng.nextUint(12), v);
+            break;
+          case 1:
+            for (uint64_t p = 2 + rng.nextUint(6); p > 0; --p) {
+                s.push_back(v | (uint64_t{1} << toggle));
+                s.push_back(v & ~(uint64_t{1} << toggle));
+            }
+            break;
+          default:
+            s.push_back(v);
+            s.push_back(fresh());
+            break;
+        }
+    }
+    return s;
+}
+
+/**
+ * Drive @p memo through evaluateBits() and @p twin through
+ * setInputBits + evaluate + outputBits (which never memoizes),
+ * interleaving reset() and granular setInputBits/evaluate on both,
+ * and stray setInputBits() pokes on @p memo that its next
+ * evaluateBits() must overwrite.
+ * Full-sweep evaluators must agree on every output, sweep count,
+ * oscillation flag and gate-eval total; a cone-pruned @p memo must
+ * agree on outputs and add exactly its active-gate count per call.
+ */
+void
+expectMemoMatchesTwin(Evaluator &memo, Evaluator &twin,
+                      const std::vector<uint64_t> &stream, Rng &rng,
+                      const std::string &what)
+{
+    const Netlist &nl = memo.netlist();
+    size_t nin = nl.inputs().size();
+    size_t nout = std::min<size_t>(nl.outputs().size(), 64);
+    bool cone = memo.conePruned();
+    for (size_t t = 0; t < stream.size(); ++t) {
+        uint64_t roll = rng.nextUint(40);
+        if (roll == 0) {
+            memo.reset();
+            twin.reset();
+        }
+        twin.setInputBits(stream[t], nin);
+        twin.evaluate();
+        if (roll == 1) {
+            memo.setInputBits(stream[t], nin);
+            memo.evaluate();
+            ASSERT_EQ(memo.outputBits(nout), twin.outputBits(nout))
+                << what << " granular step " << t;
+            continue;
+        }
+        if (roll == 2)
+            memo.setInputBits(~stream[t], nin);
+        uint64_t before = memo.gateEvals();
+        ASSERT_EQ(memo.evaluateBits(stream[t]), twin.outputBits(nout))
+            << what << " step " << t;
+        if (cone) {
+            ASSERT_EQ(memo.gateEvals() - before,
+                      memo.faultCone().activeGates.size())
+                << what << " step " << t;
+        } else {
+            ASSERT_EQ(memo.lastSweeps(), twin.lastSweeps())
+                << what << " step " << t;
+            ASSERT_EQ(memo.lastOscillated(), twin.lastOscillated())
+                << what << " step " << t;
+            ASSERT_EQ(memo.gateEvals(), twin.gateEvals())
+                << what << " step " << t;
+        }
+        if (roll == 2) {
+            // A granular sweep now reads whatever inputs the poke
+            // left behind.
+            memo.evaluate();
+            twin.evaluate();
+            ASSERT_EQ(memo.outputBits(nout), twin.outputBits(nout))
+                << what << " poked step " << t;
+        }
+    }
+}
+
+/** A 3-stage ring that oscillates while its enable input is 1. */
+Netlist
+gatedRingNetlist()
+{
+    Netlist nl;
+    NetId en = nl.addNet();
+    nl.markInput(en);
+    NetId loop = nl.addNet();
+    NetId a = nl.addGate(GateKind::Nand2, {en, loop});
+    NetId b = nl.addGate(GateKind::Not, {a});
+    nl.addGateOnto(GateKind::Not, {b}, loop);
+    nl.markOutput(loop);
+    return nl;
+}
+
+TEST(Evaluator, FixpointMemoIsExactOnStatefulOperators)
+{
+    struct Operator
+    {
+        std::string name;
+        Netlist nl;
+        CleanFn clean; // empty: feedback netlist, full sweeps only
+        int toggle;    // the input bit period-2 pairs flip
+    };
+    Operator ops[] = {
+        {"multiplier", buildMultiplierSigned(16, FaStyle::Nand9),
+         cleanMultiplierSigned(16), 0},
+        {"adder", buildRippleAdder(24, FaStyle::Nand9, false),
+         cleanAdder(24, false), 0},
+        {"sigmoid", buildSigmoidUnit(logisticPwlTable(), FaStyle::Nand9),
+         cleanSigmoidUnit(logisticPwlTable()), 0},
+        {"latch", buildLatchRegister(16), {}, 16},
+        {"gated ring", gatedRingNetlist(), {}, 0},
+        // Four gates: most faults sit right on an input, where a
+        // delayed gate's store can move while no net does.
+        {"xor", xorNetlist(),
+         [](uint64_t x) { return (x ^ (x >> 1)) & 1; }, 0},
+    };
+    Rng rng(4242);
+    for (const Operator &op : ops) {
+        for (int seed = 0; seed < 8; ++seed) {
+            // Half the sets are random gate-level stateful faults,
+            // half reconstructed transistor defects.
+            FaultSet faults = seed % 2
+                ? injectTransistorDefects(
+                      op.nl, 1 + static_cast<int>(rng.nextUint(6)), rng)
+                      .faults
+                : randomStatefulFaults(
+                      op.nl, rng, 1 + static_cast<int>(rng.nextUint(6)));
+            std::vector<uint64_t> stream =
+                memoStream(rng, op.nl.inputs().size(), op.toggle, 300);
+            std::string what = op.name + " set " + std::to_string(seed);
+            {
+                Evaluator memo(op.nl, faults);
+                Evaluator twin(op.nl, faults);
+                expectMemoMatchesTwin(memo, twin, stream, rng,
+                                      what + " full");
+            }
+            if (op.clean) {
+                Evaluator memo(op.nl, faults, op.clean);
+                Evaluator twin(op.nl, faults);
+                ASSERT_TRUE(memo.conePruned()) << what;
+                expectMemoMatchesTwin(memo, twin, stream, rng,
+                                      what + " cone");
+            }
+        }
+    }
 }
 
 } // namespace

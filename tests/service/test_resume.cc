@@ -112,14 +112,30 @@ tinyMitigation()
     return spec;
 }
 
-class ResumeBitIdentity
-    : public testing::TestWithParam<ScenarioSpec (*)()>
+/**
+ * One campaign kind under test. Printed by name: gtest appends the
+ * printed parameter to each test id, and a bare function pointer
+ * would print as its load address, which changes from run to run.
+ */
+struct TinyCampaign
+{
+    const char *kind;
+    ScenarioSpec (*make)();
+};
+
+void
+PrintTo(const TinyCampaign &campaign, std::ostream *os)
+{
+    *os << campaign.kind;
+}
+
+class ResumeBitIdentity : public testing::TestWithParam<TinyCampaign>
 {
 };
 
 TEST_P(ResumeBitIdentity, TruncatedJournalResumesExactly)
 {
-    ScenarioSpec spec = GetParam()();
+    ScenarioSpec spec = GetParam().make();
     std::string path = tempPath("resume_" + spec.kind);
     std::remove(path.c_str());
 
@@ -154,7 +170,7 @@ TEST_P(ResumeBitIdentity, ShardedWorkersMergeBitIdentically)
     // the cells with index % 2 == shard into their own journals;
     // absorbing both into one journal and replaying unsharded must
     // reproduce the single-process export byte for byte.
-    ScenarioSpec spec = GetParam()();
+    ScenarioSpec spec = GetParam().make();
     std::string expected = runScenario(spec).json;
 
     std::string shard0 = tempPath("shard0_" + spec.kind);
@@ -198,7 +214,7 @@ TEST_P(ResumeBitIdentity, DeadShardCellsAreRecomputedOnReplay)
     // A worker killed mid-job leaves a short (or missing) shard
     // journal; the parent's unsharded replay recomputes whatever is
     // absent and still exports byte-identically.
-    ScenarioSpec spec = GetParam()();
+    ScenarioSpec spec = GetParam().make();
     std::string expected = runScenario(spec).json;
 
     std::string shard0 = tempPath("deadshard_" + spec.kind);
@@ -227,9 +243,11 @@ TEST_P(ResumeBitIdentity, DeadShardCellsAreRecomputedOnReplay)
 
 INSTANTIATE_TEST_SUITE_P(
     Campaigns, ResumeBitIdentity,
-    testing::Values(&tinyFig10, &tinyFig5, &tinyMitigation),
-    [](const testing::TestParamInfo<ScenarioSpec (*)()> &info) {
-        return info.param().kind;
+    testing::Values(TinyCampaign{"fig10", &tinyFig10},
+                    TinyCampaign{"fig5", &tinyFig5},
+                    TinyCampaign{"mitigation", &tinyMitigation}),
+    [](const testing::TestParamInfo<TinyCampaign> &info) {
+        return std::string(info.param.kind);
     });
 
 TEST(Resume, CorruptPayloadRecomputesBitIdentically)
