@@ -32,6 +32,7 @@
 #include "rtl/fault_inject.hh"
 #include "rtl/latch.hh"
 #include "rtl/multiplier.hh"
+#include "rtl/operator_sim.hh"
 #include "rtl/sigmoid_unit.hh"
 #include "transistor/reconstruct.hh"
 
@@ -224,6 +225,42 @@ BENCHMARK(BM_BatchEvalMultiplier16FaultyLanes)
     ->Arg(64)
     ->Arg(256)
     ->Arg(512);
+
+/**
+ * One Fig 5 cell on the path campaigns actually take: a stateful
+ * transistor defect set (MEM entries or a delayed gate, redrawn
+ * until present) on the 4-bit adder (Arg 0) or multiplier (Arg 1),
+ * built into a fresh OperatorSim and driven with all 256 operand
+ * pairs in shuffled order through applyLanes(), which walks them
+ * through the scalar evaluator.
+ */
+void
+BM_Fig5StatefulCell(benchmark::State &state)
+{
+    bool adder = state.range(0) == 0;
+    auto nl = std::make_shared<const Netlist>(
+        adder ? buildRippleAdder(4, FaStyle::Nand9, true)
+              : buildMultiplierUnsigned(4, FaStyle::Nand9));
+    CleanFn clean = adder ? cleanAdder(4, true) : cleanMultiplierUnsigned(4);
+    Rng rng(5);
+    Injection inj = injectTransistorDefects(*nl, 4, rng);
+    while (inj.faults.isStateless())
+        inj = injectTransistorDefects(*nl, 4, rng);
+    std::vector<uint64_t> pairs(256), out(256);
+    for (uint64_t i = 0; i < 256; ++i)
+        pairs[i] = i;
+    rng.shuffle(pairs);
+    for (auto _ : state) {
+        OperatorSim sim(nl, inj, clean);
+        sim.applyLanes(pairs.data(), out.data(), pairs.size());
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.counters["vectors/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * pairs.size()),
+        benchmark::Counter::kIsRate);
+    state.SetLabel(adder ? "adder4" : "multiplier4");
+}
+BENCHMARK(BM_Fig5StatefulCell)->Arg(0)->Arg(1);
 
 void
 BM_EvalSigmoidUnit(benchmark::State &state)

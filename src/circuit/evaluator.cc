@@ -1,6 +1,8 @@
 #include "circuit/evaluator.hh"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -11,54 +13,198 @@ namespace {
 /** Relaxation sweep cap; oscillating faulty feedback stops here. */
 constexpr int maxSweeps = 64;
 
+/** Defect-free truth table of @p kind, indexed by packed inputs. */
+uint16_t
+cleanTable(GateKind kind)
+{
+    static const auto tables = [] {
+        std::array<uint16_t, static_cast<size_t>(GateKind::NumKinds)> t{};
+        for (size_t k = 0; k < t.size(); ++k) {
+            auto kind = static_cast<GateKind>(k);
+            for (uint32_t in = 0; in < (1u << gateArity(kind)); ++in)
+                if (gateEval(kind, in))
+                    t[k] |= static_cast<uint16_t>(1u << in);
+        }
+        return t;
+    }();
+    return tables[static_cast<size_t>(kind)];
+}
+
+/**
+ * Run @p ops once, in order, over @p val (Gauss-Seidel: each op
+ * sees the values earlier ops wrote).
+ * @return true when any written slot changed
+ */
+bool
+runOps(const std::vector<GateOp> &ops, uint8_t *val)
+{
+    bool changed = false;
+    for (const GateOp &op : ops) {
+        uint32_t in = val[op.in[0]] | val[op.in[1]] << 1 |
+            val[op.in[2]] << 2 | val[op.in[3]] << 3;
+        in = (in & op.keep) | op.force;
+        uint8_t old = val[op.out];
+        uint8_t v = (op.mem >> in & 1) ? old
+                                       : static_cast<uint8_t>(op.one >> in & 1);
+        changed |= v != old;
+        val[op.out] = v;
+    }
+    return changed;
+}
+
 } // namespace
 
 Evaluator::Evaluator(const Netlist &netlist, FaultSet faults,
                      CleanFn clean)
     : nl(netlist), faultSet(std::move(faults)),
       cleanFn(std::move(clean)),
-      netVal(netlist.numNets(), 0),
-      haveFaults(!this->faultSet.empty()),
-      needsRelaxation(netlist.hasFeedback())
+      netVal(netlist.numNets() + faultSet.delayed.size() + 1, 0)
 {
-    if (cleanFn && haveFaults)
-        cone = computeFaultCone(nl, faultSet);
     size_t n = nl.numGates();
-    if (haveFaults) {
-        overridePtr.assign(n, nullptr);
-        delayedFlag.assign(n, 0);
-        delayStore.assign(n, 0);
-        inputForce.assign(n, {-1, -1, -1, -1});
-        outputForce.assign(n, -1);
-        for (const auto &[gi, fn] : faultSet.overrides) {
-            dtann_assert(gi < n, "override on unknown gate %u", gi);
-            dtann_assert(fn.numInputs() == nl.gate(gi).arity(),
-                         "override arity mismatch on gate %u", gi);
-            overridePtr[gi] = &fn;
-        }
-        for (uint32_t gi : faultSet.delayed) {
-            dtann_assert(gi < n, "delay fault on unknown gate %u", gi);
-            delayedFlag[gi] = 1;
-        }
-        for (const StuckAtFault &f : faultSet.stuckAt) {
-            dtann_assert(f.gate < n, "stuck-at on unknown gate %u", f.gate);
-            if (f.input < 0) {
-                outputForce[f.gate] = f.value ? 1 : 0;
-            } else {
-                dtann_assert(f.input < nl.gate(f.gate).arity(),
-                             "stuck-at input index out of range");
-                inputForce[f.gate][static_cast<size_t>(f.input)] =
-                    f.value ? 1 : 0;
-            }
+    for (const auto &[gi, fn] : faultSet.overrides) {
+        dtann_assert(gi < n, "override on unknown gate %u", gi);
+        dtann_assert(fn.numInputs() == nl.gate(gi).arity(),
+                     "override arity mismatch on gate %u", gi);
+    }
+    for (uint32_t gi : faultSet.delayed)
+        dtann_assert(gi < n, "delay fault on unknown gate %u", gi);
+    for (const StuckAtFault &f : faultSet.stuckAt) {
+        dtann_assert(f.gate < n, "stuck-at on unknown gate %u", f.gate);
+        dtann_assert(f.input < nl.gate(f.gate).arity(),
+                     "stuck-at input index out of range");
+    }
+}
+
+const FaultCone &
+Evaluator::analysis() const
+{
+    if (!analyzed) {
+        needsRelaxation = nl.hasFeedback();
+        if (cleanFn && !faultSet.empty())
+            cone = computeFaultCone(nl, faultSet);
+        analyzed = true;
+    }
+    return cone;
+}
+
+GateOp
+Evaluator::cleanOp(uint32_t gi, uint32_t out) const
+{
+    const Gate &g = nl.gate(gi);
+    GateOp op{{zeroSlot(), zeroSlot(), zeroSlot(), zeroSlot()},
+              out, cleanTable(g.kind), 0, 0xf, 0};
+    for (int i = 0; i < g.arity(); ++i)
+        op.in[i] = g.in[i];
+    return op;
+}
+
+GateOp
+Evaluator::functionOp(uint32_t gi, uint32_t out) const
+{
+    const Gate &g = nl.gate(gi);
+    GateOp op = cleanOp(gi, out);
+    if (auto it = faultSet.overrides.find(gi);
+        it != faultSet.overrides.end()) {
+        op.one = 0;
+        for (uint32_t in = 0; in < (1u << g.arity()); ++in) {
+            LogicValue lv = it->second.eval(in);
+            if (lv == LogicValue::Mem)
+                op.mem |= static_cast<uint16_t>(1u << in);
+            else if (lv == LogicValue::One)
+                op.one |= static_cast<uint16_t>(1u << in);
         }
     }
+    for (const StuckAtFault &f : faultSet.stuckAt) {
+        if (f.gate != gi || f.input < 0)
+            continue;
+        auto bit = static_cast<uint8_t>(1u << f.input);
+        op.keep &= static_cast<uint8_t>(~bit);
+        op.force = static_cast<uint8_t>((op.force & ~bit) |
+                                        (f.value ? bit : 0));
+    }
+    return op;
+}
+
+GateOp
+Evaluator::sweepOp(uint32_t gi) const
+{
+    const Gate &g = nl.gate(gi);
+    auto it = faultSet.delayed.find(gi);
+    // A delayed output lags: its op buffers this round's store onto
+    // the net, and the input stuck-ats and the override act in the
+    // latch step instead.
+    auto store = static_cast<uint32_t>(
+        nl.numNets() + std::distance(faultSet.delayed.begin(), it));
+    GateOp op = it == faultSet.delayed.end()
+        ? functionOp(gi, g.out)
+        : GateOp{{store, zeroSlot(), zeroSlot(), zeroSlot()},
+                 g.out, 0b10, 0, 0xf, 0};
+    // An output stuck-at drives every combination that does not
+    // float: a MEM entry keeps the net as it is.
+    for (const StuckAtFault &f : faultSet.stuckAt)
+        if (f.gate == gi && f.input < 0)
+            op.one = f.value ? static_cast<uint16_t>(~op.mem) : 0;
+    return op;
+}
+
+std::vector<GateOp>
+Evaluator::program(const std::vector<uint32_t> *gates) const
+{
+    size_t n = gates ? gates->size() : nl.numGates();
+    std::vector<GateOp> ops;
+    ops.reserve(n);
+    for (size_t idx = 0; idx < n; ++idx) {
+        uint32_t gi = gates ? (*gates)[idx] : static_cast<uint32_t>(idx);
+        ops.push_back(cleanOp(gi, nl.gate(gi).out));
+    }
+    // Every faulty gate is in the program (the cone seeds from
+    // them), so patch each one's op in place.
+    auto patch = [&](uint32_t gi) {
+        size_t pos = gi;
+        if (gates)
+            pos = static_cast<size_t>(
+                std::lower_bound(gates->begin(), gates->end(), gi) -
+                gates->begin());
+        ops[pos] = sweepOp(gi);
+    };
+    for (const auto &[gi, fn] : faultSet.overrides)
+        patch(gi);
+    for (uint32_t gi : faultSet.delayed)
+        patch(gi);
+    for (const StuckAtFault &f : faultSet.stuckAt)
+        patch(f.gate);
+    return ops;
+}
+
+void
+Evaluator::compile()
+{
+    if (compiled)
+        return;
+    if (analysis().valid)
+        coneOps = program(&cone.activeGates);
+    // Latch: each delayed gate's function of its (stuck-at adjusted)
+    // real inputs, into its store; MEM keeps the store and no
+    // output stuck-at applies.
+    uint32_t store = static_cast<uint32_t>(nl.numNets());
+    for (uint32_t gi : faultSet.delayed)
+        latchOps.push_back(functionOp(gi, store++));
+    compiled = true;
+}
+
+const std::vector<GateOp> &
+Evaluator::fullProgram()
+{
+    if (fullOps.size() != nl.numGates())
+        fullOps = program(nullptr);
+    return fullOps;
 }
 
 void
 Evaluator::reset()
 {
+    // Also zeroes the delay stores, which live in netVal.
     std::fill(netVal.begin(), netVal.end(), 0);
-    std::fill(delayStore.begin(), delayStore.end(), 0);
     memoValid = false;
 }
 
@@ -81,44 +227,24 @@ Evaluator::setInputRange(size_t offset, size_t width, uint64_t bits)
 {
     dtann_assert(offset + width <= nl.inputs().size(),
                  "input range out of bounds");
+    dtann_assert(width <= 64, "at most 64 bits per write");
     for (size_t i = 0; i < width; ++i)
         netVal[nl.inputs()[offset + i]] = (bits >> i) & 1;
     memoValid = false;
 }
 
-uint32_t
-Evaluator::gateInputs(size_t gi) const
-{
-    const Gate &g = nl.gate(gi);
-    uint32_t in = 0;
-    int arity = g.arity();
-    for (int i = 0; i < arity; ++i)
-        in |= static_cast<uint32_t>(netVal[g.in[i]]) << i;
-    if (haveFaults) {
-        const auto &force = inputForce[gi];
-        for (int i = 0; i < arity; ++i) {
-            if (force[static_cast<size_t>(i)] >= 0) {
-                in &= ~(1u << i);
-                in |= static_cast<uint32_t>(
-                    force[static_cast<size_t>(i)]) << i;
-            }
-        }
-    }
-    return in;
-}
-
 void
 Evaluator::evaluate()
 {
-    runSweeps(nullptr);
-    latchDelayed();
+    compile();
+    runSweeps(fullProgram());
+    runOps(latchOps, netVal.data());
     memoValid = false;
 }
 
 void
-Evaluator::runSweeps(const std::vector<uint32_t> *active)
+Evaluator::runSweeps(const std::vector<GateOp> &ops)
 {
-    size_t n = active ? active->size() : nl.numGates();
     oscillated = false;
     // Feedback-free netlists settle in a single topological sweep
     // (builders emit gates in dependency order); MEM entries read
@@ -126,59 +252,12 @@ Evaluator::runSweeps(const std::vector<uint32_t> *active)
     // floating node held.
     int sweep_cap = needsRelaxation ? maxSweeps : 1;
     for (sweeps = 0; sweeps < sweep_cap; ++sweeps) {
-        bool changed = false;
-        gateEvalCount += n;
-        for (size_t idx = 0; idx < n; ++idx) {
-            size_t gi = active ? (*active)[idx] : idx;
-            const Gate &g = nl.gate(gi);
-            uint8_t v;
-            if (haveFaults && delayedFlag[gi]) {
-                // Output lags: drive the stored value this round.
-                v = delayStore[gi];
-            } else if (haveFaults && overridePtr[gi]) {
-                LogicValue lv = overridePtr[gi]->eval(gateInputs(gi));
-                if (lv == LogicValue::Mem)
-                    continue; // Floating output: keep previous value.
-                v = (lv == LogicValue::One) ? 1 : 0;
-            } else {
-                v = gateEval(g.kind, gateInputs(gi)) ? 1 : 0;
-            }
-            if (haveFaults && outputForce[gi] >= 0)
-                v = static_cast<uint8_t>(outputForce[gi]);
-            if (netVal[g.out] != v) {
-                netVal[g.out] = v;
-                changed = true;
-            }
-        }
-        if (!changed)
+        gateEvalCount += ops.size();
+        if (!runOps(ops, netVal.data()))
             break;
     }
     if (needsRelaxation && sweeps == maxSweeps)
         oscillated = true;
-}
-
-bool
-Evaluator::latchDelayed()
-{
-    // Latch new pending values of delayed gates for the next round.
-    bool changed = false;
-    if (haveFaults) {
-        for (uint32_t gi : faultSet.delayed) {
-            uint8_t pending;
-            if (overridePtr[gi]) {
-                LogicValue lv = overridePtr[gi]->eval(gateInputs(gi));
-                if (lv == LogicValue::Mem)
-                    continue; // Keep the old stored value.
-                pending = (lv == LogicValue::One) ? 1 : 0;
-            } else {
-                pending =
-                    gateEval(nl.gate(gi).kind, gateInputs(gi)) ? 1 : 0;
-            }
-            changed |= delayStore[gi] != pending;
-            delayStore[gi] = pending;
-        }
-    }
-    return changed;
 }
 
 bool
@@ -213,20 +292,15 @@ Evaluator::evaluateBits(uint64_t input_bits)
         // The last call ran from this very state under this input
         // and moved nothing, so a full evaluation would run one
         // sweep that changes nothing and return the same bits.
-        gateEvalCount +=
-            cone.valid ? cone.activeGates.size() : nl.numGates();
+        gateEvalCount += cone.valid ? coneOps.size() : fullOps.size();
         sweeps = 0;
         oscillated = false;
         return memoOut;
     }
     setInputBits(input_bits, nl.inputs().size());
-    // Two call sites, so the full sweep keeps its null-specialized
-    // inner loop.
-    if (cone.valid)
-        runSweeps(&cone.activeGates);
-    else
-        runSweeps(nullptr);
-    bool stores_moved = latchDelayed();
+    compile();
+    runSweeps(cone.valid ? coneOps : fullProgram());
+    bool stores_moved = runOps(latchOps, netVal.data());
     size_t n_out = std::min<size_t>(nl.outputs().size(), 64);
     uint64_t bits = outputBits(n_out);
     if (cone.valid) {

@@ -9,12 +9,17 @@
  * faulty gates with MEM entries converge in a few. Net values
  * persist across evaluations, which is what gives faulty gates their
  * memory behaviour.
+ *
+ * The first scalar evaluation compiles the (netlist, fault set,
+ * cone) triple into a flat gate program (GateOp, one per swept
+ * gate) whose ops fold every fault into per-gate truth tables, so a
+ * sweep is one table lookup per gate with no branch on the fault
+ * class. See DESIGN.md section 9 for the exactness rules.
  */
 
 #ifndef DTANN_CIRCUIT_EVALUATOR_HH
 #define DTANN_CIRCUIT_EVALUATOR_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +28,28 @@
 #include "circuit/netlist.hh"
 
 namespace dtann {
+
+/**
+ * One compiled gate: gather four input slots, apply the input
+ * stuck-ats, then look the result up in two 16-entry truth tables.
+ * A set mem bit keeps the output slot's value (a floating node);
+ * otherwise the one bit is the new value.
+ */
+struct GateOp
+{
+    /** Input slots in netVal; arity padding reads the zero slot. */
+    uint32_t in[4];
+    /** Slot written: the gate's output net or a delay store. */
+    uint32_t out;
+    /** Output per packed input combination. */
+    uint16_t one;
+    /** Combinations whose output floats (keeps its value). */
+    uint16_t mem;
+    /** Input bits read from the slots (clear = stuck). */
+    uint8_t keep;
+    /** Stuck input bits. */
+    uint8_t force;
+};
 
 /** Evaluates a Netlist, optionally with injected faults. */
 class Evaluator
@@ -40,8 +67,7 @@ class Evaluator
     explicit Evaluator(const Netlist &netlist, FaultSet faults = {},
                        CleanFn clean = {});
 
-    // Internal tables point into the owned fault set; keep the
-    // evaluator pinned in place.
+    // Evaluators are stateful simulation instances; never copied.
     Evaluator(const Evaluator &) = delete;
     Evaluator &operator=(const Evaluator &) = delete;
 
@@ -95,10 +121,10 @@ class Evaluator
     const FaultSet &faults() const { return faultSet; }
 
     /** True when evaluateBits() runs the cone-pruned path. */
-    bool conePruned() const { return cone.valid; }
+    bool conePruned() const { return analysis().valid; }
 
     /** The fault-cone analysis (valid only when conePruned()). */
-    const FaultCone &faultCone() const { return cone; }
+    const FaultCone &faultCone() const { return analysis(); }
 
     /** Total scalar gate evaluations (gates x sweeps) so far. */
     uint64_t gateEvals() const { return gateEvalCount; }
@@ -107,24 +133,27 @@ class Evaluator
     const Netlist &nl;
     FaultSet faultSet;
     CleanFn cleanFn;
-    FaultCone cone;
 
-    /** Per-net current value. */
-    std::vector<uint8_t> netVal;
-    /** Per-gate stored output for delayed gates (index aligned). */
-    std::vector<uint8_t> delayStore;
-    /** Per-gate override pointer (null when clean), by gate index. */
-    std::vector<const GateFunction *> overridePtr;
-    /** Per-gate delayed flag. */
-    std::vector<uint8_t> delayedFlag;
-    /** Per-gate, per-input stuck value (-1 = none). */
-    std::vector<std::array<int8_t, 4>> inputForce;
-    /** Per-gate output stuck value (-1 = none). */
-    std::vector<int8_t> outputForce;
-    /** True when any fault table is populated. */
-    bool haveFaults;
+    /** Built by analysis() on first use (the lane path of an
+     *  OperatorSim never needs it). */
+    mutable bool analyzed = false;
+    mutable FaultCone cone;
     /** True when the netlist has feedback and needs relaxation. */
-    bool needsRelaxation;
+    mutable bool needsRelaxation = false;
+
+    /**
+     * Per-slot value: the nets, then one store per delayed gate
+     * (the value its output drives this round), then a zero slot
+     * no op writes.
+     */
+    std::vector<uint8_t> netVal;
+    /** Sweep program over the cone's active gates (when valid). */
+    std::vector<GateOp> coneOps;
+    /** Sweep program over every gate; built on first full sweep. */
+    std::vector<GateOp> fullOps;
+    bool compiled = false;
+    /** Latch program: one op per delayed gate into its store. */
+    std::vector<GateOp> latchOps;
 
     int sweeps = 0;
     bool oscillated = false;
@@ -136,17 +165,39 @@ class Evaluator
     uint64_t memoIn = 0;
     uint64_t memoOut = 0;
 
-    /** Compute the (fault-adjusted) packed inputs of gate @p gi. */
-    uint32_t gateInputs(size_t gi) const;
+    /** Run the cone analysis and feedback check once. */
+    const FaultCone &analysis() const;
 
-    /** Sweep @p active gates (all gates when null) until stable. */
-    void runSweeps(const std::vector<uint32_t> *active);
+    /** Compile the cone and latch programs on first evaluation. */
+    void compile();
+
+    /** The full-netlist program, compiled on first use. */
+    const std::vector<GateOp> &fullProgram();
+
+    /** Program over @p gates (all gates when null), in order. */
+    std::vector<GateOp> program(const std::vector<uint32_t> *gates) const;
+
+    /** Compile gate @p gi's sweep op. */
+    GateOp sweepOp(uint32_t gi) const;
+
+    /** Op computing gate @p gi's defect-free function into @p out. */
+    GateOp cleanOp(uint32_t gi, uint32_t out) const;
 
     /**
-     * Latch pending values of delayed gates for the next round.
-     * @return true when any delay store changed
+     * Op computing gate @p gi's (possibly overridden) function of
+     * its stuck-at-adjusted inputs into slot @p out, with no output
+     * stuck-at.
      */
-    bool latchDelayed();
+    GateOp functionOp(uint32_t gi, uint32_t out) const;
+
+    /** Slot of the zero constant that pads short gates. */
+    uint32_t zeroSlot() const
+    {
+        return static_cast<uint32_t>(netVal.size() - 1);
+    }
+
+    /** Sweep @p ops until stable (or the sweep cap). */
+    void runSweeps(const std::vector<GateOp> &ops);
 };
 
 } // namespace dtann

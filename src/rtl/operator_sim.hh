@@ -18,8 +18,11 @@
  *
  * All paths are bit-identical to the full scalar sweep; the env
  * knobs DTANN_NO_BATCH / DTANN_NO_CONE force the slower paths for
- * equivalence testing. The underlying netlist is shared (immutable)
- * across instances of the same operator shape.
+ * equivalence testing. The scalar evaluator compiles its cone
+ * analysis and gate programs lazily, on the first scalar call, so
+ * an instance on the wide-lane path never pays for them. The
+ * underlying netlist is shared (immutable) across instances of the
+ * same operator shape.
  */
 
 #ifndef DTANN_RTL_OPERATOR_SIM_HH

@@ -439,5 +439,284 @@ TEST(Evaluator, FixpointMemoIsExactOnStatefulOperators)
     }
 }
 
+/**
+ * Independent scalar oracle: a direct per-gate interpreter of the
+ * fault semantics, kept free of the evaluator's compiled program.
+ * Each sweep visits every gate in order: a delayed gate drives its
+ * store, any other gate its (override or clean) function of its
+ * stuck-at adjusted inputs, where MEM leaves the net as it is (and
+ * no output stuck-at applies); an output stuck-at replaces every
+ * other value. The latch step then stores each delayed gate's
+ * function, keeping the store on MEM.
+ */
+class Reference
+{
+  public:
+    Reference(const Netlist &netlist, const FaultSet &faults)
+        : nl(netlist), f(faults), net(netlist.numNets(), 0),
+          store(netlist.numGates(), 0), relax(netlist.hasFeedback())
+    {
+    }
+
+    void
+    reset()
+    {
+        std::fill(net.begin(), net.end(), 0);
+        std::fill(store.begin(), store.end(), 0);
+    }
+
+    void
+    setInputBits(uint64_t bits)
+    {
+        for (size_t i = 0; i < nl.inputs().size(); ++i)
+            net[nl.inputs()[i]] = (bits >> i) & 1;
+    }
+
+    void
+    evaluate()
+    {
+        int cap = relax ? 64 : 1;
+        for (sweeps = 0; sweeps < cap; ++sweeps) {
+            gateEvals += nl.numGates();
+            bool changed = false;
+            for (uint32_t gi = 0; gi < nl.numGates(); ++gi) {
+                int v = f.delayed.count(gi) ? store[gi] : function(gi);
+                if (v == 2)
+                    continue;
+                for (const StuckAtFault &s : f.stuckAt)
+                    if (s.gate == gi && s.input < 0)
+                        v = s.value;
+                changed |= net[nl.gate(gi).out] != v;
+                net[nl.gate(gi).out] = static_cast<uint8_t>(v);
+            }
+            if (!changed)
+                break;
+        }
+        oscillated = relax && sweeps == 64;
+        for (uint32_t gi : f.delayed)
+            if (int v = function(gi); v != 2)
+                store[gi] = static_cast<uint8_t>(v);
+    }
+
+    uint64_t
+    outputs() const
+    {
+        uint64_t bits = 0;
+        for (size_t o = 0; o < std::min<size_t>(nl.outputs().size(), 64);
+             ++o)
+            bits |= uint64_t{net[nl.outputs()[o]]} << o;
+        return bits;
+    }
+
+    int sweeps = 0;
+    bool oscillated = false;
+    uint64_t gateEvals = 0;
+
+  private:
+    /** 0, 1, or 2 for MEM. */
+    int
+    function(uint32_t gi) const
+    {
+        const Gate &g = nl.gate(gi);
+        uint32_t in = 0;
+        for (int i = 0; i < g.arity(); ++i)
+            in |= uint32_t{net[g.in[i]]} << i;
+        for (const StuckAtFault &s : f.stuckAt)
+            if (s.gate == gi && s.input >= 0)
+                in = (in & ~(1u << s.input)) |
+                    (uint32_t{s.value} << s.input);
+        auto it = f.overrides.find(gi);
+        if (it != f.overrides.end())
+            return static_cast<int>(it->second.eval(in));
+        return gateEval(g.kind, in) ? 1 : 0;
+    }
+
+    const Netlist &nl;
+    const FaultSet &f;
+    std::vector<uint8_t> net;
+    std::vector<uint8_t> store;
+    bool relax;
+};
+
+/** Gate @p g's clean truth table with random MEM entries. */
+GateFunction
+memFunction(const Gate &g, Rng &rng)
+{
+    uint32_t value = 0, mem = 0;
+    for (uint32_t c = 0; c < (1u << g.arity()); ++c) {
+        if (gateEval(g.kind, c) != rng.nextBool(0.2))
+            value |= 1u << c;
+        if (rng.nextBool(0.4))
+            mem |= 1u << c;
+    }
+    return GateFunction(g.arity(), value, mem);
+}
+
+/**
+ * @p count random fault combinations, each on one gate: MEM
+ * override + output stuck-at, delayed + input stuck-at, delayed +
+ * output stuck-at, delayed + MEM override, override + input
+ * stuck-at, or two clashing stuck-ats on one pin (the last wins).
+ */
+FaultSet
+combinedFaults(const Netlist &nl, Rng &rng, int count)
+{
+    FaultSet f;
+    for (int k = 0; k < count; ++k) {
+        auto gi = static_cast<uint32_t>(rng.nextUint(nl.numGates()));
+        const Gate &g = nl.gate(gi);
+        auto input = [&] {
+            return static_cast<int8_t>(
+                rng.nextUint(static_cast<uint64_t>(g.arity())));
+        };
+        // Constants have no input pin to stick.
+        uint64_t recipe = rng.nextUint(g.arity() ? 6 : 3);
+        switch (recipe) {
+          case 0:
+            f.overrides[gi] = memFunction(g, rng);
+            f.stuckAt.push_back({gi, -1, rng.nextBool()});
+            break;
+          case 1:
+            f.delayed.insert(gi);
+            f.stuckAt.push_back({gi, -1, rng.nextBool()});
+            break;
+          case 2:
+            f.delayed.insert(gi);
+            f.overrides[gi] = memFunction(g, rng);
+            break;
+          case 3:
+            f.delayed.insert(gi);
+            f.stuckAt.push_back({gi, input(), rng.nextBool()});
+            break;
+          case 4:
+            f.overrides[gi] = memFunction(g, rng);
+            f.stuckAt.push_back({gi, input(), rng.nextBool()});
+            break;
+          default: {
+            int8_t pin = rng.nextBool() ? -1 : input();
+            f.stuckAt.push_back({gi, pin, true});
+            f.stuckAt.push_back({gi, pin, false});
+            break;
+          }
+        }
+    }
+    return f;
+}
+
+/**
+ * Drive @p ev (and, when given, a cone-pruned @p pruned twin)
+ * against the reference over @p stream: per step either
+ * evaluateBits() or setInput() + evaluate() + output() reads, with
+ * reset() interleaved. Full-sweep results must match the oracle's
+ * outputs, sweep count, oscillation flag and gate-eval total; the
+ * pruned twin must match its outputs.
+ */
+void
+expectMatchesReference(const Netlist &nl, const FaultSet &faults,
+                       const CleanFn &clean,
+                       const std::vector<uint64_t> &stream, Rng &rng,
+                       const std::string &what)
+{
+    Evaluator ev(nl, faults);
+    Evaluator pruned(nl, faults, clean);
+    Reference ref(nl, faults);
+    size_t nin = nl.inputs().size();
+    size_t nout = std::min<size_t>(nl.outputs().size(), 64);
+    for (size_t t = 0; t < stream.size(); ++t) {
+        std::string at = what + " step " + std::to_string(t);
+        if (rng.nextUint(25) == 0) {
+            ev.reset();
+            pruned.reset();
+            ref.reset();
+        }
+        ref.setInputBits(stream[t]);
+        ref.evaluate();
+        if (rng.nextBool(0.3)) {
+            for (size_t i = 0; i < nin; ++i)
+                ev.setInput(i, stream[t] >> i & 1);
+            ev.evaluate();
+            for (size_t o = 0; o < nout; ++o)
+                ASSERT_EQ(ev.output(o), (ref.outputs() >> o & 1) != 0)
+                    << at << " output " << o;
+        } else {
+            ASSERT_EQ(ev.evaluateBits(stream[t]), ref.outputs()) << at;
+        }
+        ASSERT_EQ(ev.lastSweeps(), ref.sweeps) << at;
+        ASSERT_EQ(ev.lastOscillated(), ref.oscillated) << at;
+        ASSERT_EQ(ev.gateEvals(), ref.gateEvals) << at;
+        if (clean) {
+            ASSERT_EQ(pruned.evaluateBits(stream[t]), ref.outputs())
+                << at << " pruned";
+        }
+    }
+}
+
+TEST(Evaluator, MatchesIndependentReference)
+{
+    struct Operator
+    {
+        std::string name;
+        Netlist nl;
+        CleanFn clean; // empty: feedback netlist, full sweeps only
+        int toggle;
+    };
+    Operator ops[] = {
+        {"adder4", buildRippleAdder(4, FaStyle::Mirror, true),
+         cleanAdder(4, true), 0},
+        {"multiplier4", buildMultiplierSigned(4, FaStyle::Nand9),
+         cleanMultiplierSigned(4), 0},
+        {"sigmoid", buildSigmoidUnit(logisticPwlTable(), FaStyle::Nand9),
+         cleanSigmoidUnit(logisticPwlTable()), 0},
+        {"latch", buildLatchRegister(8), {}, 8},
+        {"gated ring", gatedRingNetlist(), {}, 0},
+    };
+    Rng rng(1313);
+    for (const Operator &op : ops) {
+        for (int seed = 0; seed < 12; ++seed) {
+            int count = 1 + static_cast<int>(rng.nextUint(5));
+            FaultSet faults;
+            switch (seed % 3) {
+              case 0:
+                faults = combinedFaults(op.nl, rng, count);
+                break;
+              case 1:
+                faults = randomStatefulFaults(op.nl, rng, count);
+                faults.merge(combinedFaults(op.nl, rng, 1));
+                break;
+              default:
+                faults = injectTransistorDefects(op.nl, count, rng).faults;
+                break;
+            }
+            std::vector<uint64_t> stream =
+                memoStream(rng, op.nl.inputs().size(), op.toggle, 200);
+            expectMatchesReference(op.nl, faults, op.clean, stream, rng,
+                                   op.name + " set " +
+                                       std::to_string(seed));
+        }
+    }
+}
+
+/** A netlist of @p n primary inputs, each through an inverter. */
+Netlist
+wideInverterNetlist(size_t n)
+{
+    Netlist nl;
+    for (size_t i = 0; i < n; ++i) {
+        NetId in = nl.addNet();
+        nl.markInput(in);
+        nl.markOutput(nl.addGate(GateKind::Not, {in}));
+    }
+    return nl;
+}
+
+TEST(EvaluatorDeathTest, InputWriteWiderThan64BitsAsserts)
+{
+    Netlist nl = wideInverterNetlist(65);
+    Evaluator ev(nl);
+    ev.setInputRange(1, 64, ~uint64_t{0}); // 64 bits is the limit
+    EXPECT_DEATH(ev.setInputRange(0, 65, 0), "at most 64 bits");
+    EXPECT_DEATH(ev.evaluateBits(0), "at most 64 bits");
+}
+
 } // namespace
 } // namespace dtann

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "circuit/evaluator.hh"
 #include "common/fixed_point.hh"
 #include "common/rng.hh"
@@ -18,6 +20,14 @@ struct AdderCase
     int width;
     FaStyle style;
 };
+
+// Without this, gtest prints the raw bytes of the case, padding
+// included, so the test ids would vary between discoveries.
+void
+PrintTo(const AdderCase &c, std::ostream *os)
+{
+    *os << c.width << "-bit " << faStyleName(c.style);
+}
 
 class AdderTest : public ::testing::TestWithParam<AdderCase>
 {
