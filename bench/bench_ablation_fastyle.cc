@@ -81,7 +81,7 @@ main()
         f5cfg.repetitions = reps;
         f5cfg.seed = experimentSeed() + static_cast<uint64_t>(style);
         f5cfg.style = style;
-        Fig5Result f5 = runFig5(f5cfg);
+        Fig5Result f5 = runFig5({f5cfg}).front();
         sim.merge(f5.sim);
         double tv = f5.trans.totalVariation(f5.none);
         t.addRow({styleName(style),

@@ -847,10 +847,6 @@ HardwareBackend::forwardBatch(std::span<const std::vector<double>> inputs)
             act.output()[static_cast<size_t>(k)] =
                 outv[r][static_cast<size_t>(k)].toDouble();
     }
-    // Mirror per-row forward(): the activation scratch holds the
-    // last processed row.
-    if (rows > 0)
-        hiddenAct = hid[rows - 1];
     return acts;
 }
 

@@ -421,7 +421,8 @@ class HardwareBackend : public ForwardModel
     std::vector<Fix16> hidW; // [hidden][inputs+1]
     std::vector<Fix16> outW; // [outputs][hidden+1]
 
-    /** Hidden activations of the last processed row. */
+    /** Hidden-activation scratch of the per-row paths (forward(),
+     *  runHiddenLayer(), forwardFix()); each writes it first. */
     std::vector<Fix16> hiddenAct;
     /** Pre-activation hidden sums of the last processed row. */
     std::vector<Acc24> hidSums;

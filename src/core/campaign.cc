@@ -1,6 +1,8 @@
 #include "core/campaign.hh"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -29,6 +31,91 @@ enum StreamRoot : uint64_t {
     kStreamCell = 3,  ///< {kStreamCell, task, variant, rep}: one cell
 };
 
+/**
+ * Journal payload of one Fig 5 cell: its none/gate/trans output
+ * histograms and its work. The histograms are dense over the
+ * operators' output bus (at most 8 bits; 256 input pairs bound
+ * every count): a sweep holds every cell's payload until its fold,
+ * and a dense table is a fraction of an IntHistogram tree's size.
+ */
+struct Fig5Cell
+{
+    static constexpr const char *kHists[3] = {"none", "gate", "trans"};
+    std::array<std::array<uint16_t, 256>, 3> hist{};
+    SimCounters sim;
+
+    std::string toJson() const
+    {
+        std::string out = "{";
+        for (size_t k = 0; k < 3; ++k) {
+            IntHistogram h;
+            for (size_t v = 0; v < 256; ++v)
+                if (hist[k][v] != 0)
+                    h.add(static_cast<int64_t>(v), hist[k][v]);
+            out += "\"" + std::string(kHists[k]) + "\":" + h.toJson() + ",";
+        }
+        return out + "\"sim\":" + sim.toJson() + "}";
+    }
+
+    static Fig5Cell fromJson(const JsonValue &v)
+    {
+        Fig5Cell c;
+        for (size_t k = 0; k < 3; ++k)
+            for (const auto &[value, count] :
+                 IntHistogram::fromJson(v.at(kHists[k])).items()) {
+                if (value < 0 || value >= 256 || count > UINT16_MAX)
+                    throw JsonError("fig5 histogram entry out of range");
+                c.hist[k][static_cast<size_t>(value)] =
+                    static_cast<uint16_t>(count);
+            }
+        c.sim = SimCounters::fromJson(v.at("sim"));
+        return c;
+    }
+};
+
+/** Journal payload of one Fig 10 cell. */
+struct Fig10Cell
+{
+    double accuracy = 0.0;
+    SimCounters sim;
+
+    std::string toJson() const
+    {
+        return "{\"accuracy\":" + jsonNumber(accuracy) +
+            ",\"sim\":" + sim.toJson() + "}";
+    }
+
+    static Fig10Cell fromJson(const JsonValue &v)
+    {
+        return {v.at("accuracy").asNumber(),
+                SimCounters::fromJson(v.at("sim"))};
+    }
+};
+
+/** Journal payload of one Fig 11 cell (the task comes from its key). */
+struct Fig11Cell
+{
+    double amplitude = 0.0;
+    double accuracy = 0.0;
+    std::string site;
+    SimCounters sim;
+
+    std::string toJson() const
+    {
+        return "{\"amplitude\":" + jsonNumber(amplitude) +
+            ",\"accuracy\":" + jsonNumber(accuracy) +
+            ",\"site\":" + jsonString(site) + ",\"sim\":" +
+            sim.toJson() + "}";
+    }
+
+    static Fig11Cell fromJson(const JsonValue &v)
+    {
+        return {v.at("amplitude").asNumber(),
+                v.at("accuracy").asNumber(), v.at("site").asString(),
+                SimCounters::fromJson(v.at("sim"))};
+    }
+};
+
 } // namespace
 
 // ---------------------------------------------------------------
@@ -52,36 +139,6 @@ fig5OperatorFromName(const std::string &name, Fig5Operator &out)
         return true;
     }
     return false;
-}
-
-std::string
-Fig5Config::toJson() const
-{
-    std::string out = "{" + jsonRunFields();
-    out += ",\"operator\":" + jsonString(fig5OperatorName(op));
-    out += ",\"defects\":" + std::to_string(defects);
-    out += ",\"fa_style\":" + jsonString(faStyleName(style));
-    out += "}";
-    return out;
-}
-
-Fig5Config
-Fig5Config::fromJson(const JsonValue &v)
-{
-    Fig5Config c;
-    c.readRunFields(v);
-    std::string op_name =
-        jsonGetString(v, "operator", fig5OperatorName(c.op));
-    if (!fig5OperatorFromName(op_name, c.op))
-        throw JsonError("unknown operator '" + op_name +
-                        "' (expected adder4 or multiplier4)");
-    c.defects = jsonGetInt(v, "defects", c.defects, 0, 1 << 20);
-    std::string style =
-        jsonGetString(v, "fa_style", faStyleName(c.style));
-    if (!faStyleFromName(style, c.style))
-        throw JsonError("unknown fa_style '" + style +
-                        "' (expected nand9 or mirror)");
-    return c;
 }
 
 std::string
@@ -141,29 +198,51 @@ campaignEnvelope(const std::string &kind, const std::string &configJson,
 // ---------------------------------------------------------------
 // Fig 5
 
-Fig5Result
-runFig5(const Fig5Config &config)
+std::vector<CampaignCell>
+fig5Cells(const std::vector<Fig5Config> &variants)
 {
-    const char *op_name = fig5OperatorName(config.op);
-    auto build_netlist = [&] {
-        return config.op == Fig5Operator::Adder4
-            ? buildRippleAdder(4, config.style, true)
-            : buildMultiplierUnsigned(4, config.style);
-    };
-    std::shared_ptr<const Netlist> nl = config.contextCache != nullptr
-        ? config.contextCache->netlist(
-              std::string("netlist/") + op_name + "/" +
-                  faStyleName(config.style),
-              build_netlist)
-        : std::make_shared<const Netlist>(build_netlist());
-    size_t out_bits = nl->outputs().size();
+    std::vector<CampaignCell> cells;
+    for (size_t v = 0; v < variants.size(); ++v) {
+        const Fig5Config &c = variants[v];
+        for (int rep = 0; rep < c.repetitions; ++rep)
+            cells.push_back({{"fig5", fig5OperatorName(c.op),
+                              "d" + std::to_string(c.defects),
+                              static_cast<uint64_t>(rep)},
+                             v});
+    }
+    return cells;
+}
 
-    Fig5Result result;
-    result.op = config.op;
-    result.defects = config.defects;
-    result.repetitions = config.repetitions;
-    result.style = config.style;
-    result.seed = config.seed;
+std::vector<Fig5Result>
+runFig5(const std::vector<Fig5Config> &variants)
+{
+    if (variants.empty())
+        return {};
+    const Fig5Config &run = variants.front();
+
+    // Per-variant read-only state: the operator netlist and its
+    // clean reference model.
+    std::vector<std::shared_ptr<const Netlist>> netlists;
+    std::vector<CleanFn> cleanFns;
+    for (const Fig5Config &v : variants) {
+        auto build_netlist = [&] {
+            return v.op == Fig5Operator::Adder4
+                ? buildRippleAdder(4, v.style, true)
+                : buildMultiplierUnsigned(4, v.style);
+        };
+        netlists.push_back(
+            run.contextCache != nullptr
+                ? run.contextCache->netlist(
+                      std::string("netlist/") + fig5OperatorName(v.op) +
+                          "/" + faStyleName(v.style),
+                      build_netlist)
+                : std::make_shared<const Netlist>(build_netlist()));
+        dtann_assert(netlists.back()->outputs().size() <= 8,
+                     "Fig 5 cell histograms cover 8 output bits");
+        cleanFns.push_back(v.op == Fig5Operator::Adder4
+                               ? cleanAdder(4, true)
+                               : cleanMultiplierUnsigned(4));
+    }
 
     // One independent injection per repetition; each evaluates all
     // 256 input pairs in random order to avoid special behaviour
@@ -172,87 +251,69 @@ runFig5(const Fig5Config &config)
     // fault sets run 64 pairs per bit-parallel sweep, stateful ones
     // fall back to the scalar path in the same order, so histograms
     // are bit-identical either way.
-    struct RepHists
-    {
-        IntHistogram none, gate, trans;
-        SimCounters sim;
-    };
-    size_t reps = static_cast<size_t>(std::max(0, config.repetitions));
-    std::vector<RepHists> hists(reps);
+    std::vector<CampaignCell> cells = fig5Cells(variants);
+    CampaignEngine engine(run);
+    auto out = engine.runCells<Fig5Cell>(
+        run, cells,
+        [&](const CampaignCell &c) {
+            const Fig5Config &v = variants[c.task];
+            const std::shared_ptr<const Netlist> &nl = netlists[c.task];
+            Rng rng = Rng::substream(v.seed, {kStreamCell, c.key.rep});
+            Injection trans_inj =
+                injectTransistorDefects(*nl, v.defects, rng);
+            Injection gate_inj =
+                injectGateLevelFaults(*nl, v.defects, rng);
+            OperatorSim trans_sim(nl, std::move(trans_inj),
+                                  cleanFns[c.task]);
+            OperatorSim gate_sim(nl, std::move(gate_inj),
+                                 cleanFns[c.task]);
 
-    CleanFn clean_fn = config.op == Fig5Operator::Adder4
-        ? cleanAdder(4, true)
-        : cleanMultiplierUnsigned(4);
+            std::vector<uint64_t> pairs(256);
+            for (uint64_t i = 0; i < 256; ++i)
+                pairs[i] = i;
+            rng.shuffle(pairs);
 
-    CampaignEngine engine(config);
-    engine.beginCampaign(reps);
-    const std::string variant = "d" + std::to_string(config.defects);
-    engine.parallelFor(reps, [&](size_t rep) {
-        RepHists &h = hists[rep];
-        CellKey key{"fig5", op_name, variant, rep};
-        if (journalLookup(config.journal, key, [&](const JsonValue &v) {
-                h.none = IntHistogram::fromJson(v.at("none"));
-                h.gate = IntHistogram::fromJson(v.at("gate"));
-                h.trans = IntHistogram::fromJson(v.at("trans"));
-                h.sim = SimCounters::fromJson(v.at("sim"));
-            })) {
-            engine.reportCell(op_name, config.defects,
-                              static_cast<int>(rep), 0.0);
-            return;
-        }
-        // Sharded worker: cells owned by other shards are left for
-        // their processes; the merged journals replay them later.
-        if (!config.inShard(rep))
-            return;
-        Rng rng = Rng::substream(config.seed, {kStreamCell, rep});
-        Injection trans_inj =
-            injectTransistorDefects(*nl, config.defects, rng);
-        Injection gate_inj =
-            injectGateLevelFaults(*nl, config.defects, rng);
-        OperatorSim trans_sim(nl, std::move(trans_inj), clean_fn);
-        OperatorSim gate_sim(nl, std::move(gate_inj), clean_fn);
+            std::vector<uint64_t> trans_out(256), gate_out(256);
+            trans_sim.applyLanes(pairs.data(), trans_out.data(), 256);
+            gate_sim.applyLanes(pairs.data(), gate_out.data(), 256);
 
-        std::vector<uint64_t> pairs(256);
-        for (uint64_t i = 0; i < 256; ++i)
-            pairs[i] = i;
-        rng.shuffle(pairs);
+            uint64_t mask = (1ull << nl->outputs().size()) - 1;
+            Fig5Cell h;
+            for (size_t i = 0; i < 256; ++i) {
+                uint64_t in = pairs[i];
+                uint64_t a = in & 0xf, b = in >> 4;
+                ++h.hist[0][v.op == Fig5Operator::Adder4 ? a + b : a * b];
+                ++h.hist[1][gate_out[i] & mask];
+                ++h.hist[2][trans_out[i] & mask];
+            }
+            h.sim.merge(trans_sim.counters());
+            h.sim.merge(gate_sim.counters());
+            return h;
+        },
+        [&](const CampaignCell &c, const Fig5Cell &) {
+            return CellReport{c.key.task, variants[c.task].defects,
+                              static_cast<int>(c.key.rep), 0.0};
+        });
 
-        std::vector<uint64_t> trans_out(256), gate_out(256);
-        trans_sim.applyLanes(pairs.data(), trans_out.data(), 256);
-        gate_sim.applyLanes(pairs.data(), gate_out.data(), 256);
-
-        for (size_t i = 0; i < 256; ++i) {
-            uint64_t in = pairs[i];
-            uint64_t a = in & 0xf, b = in >> 4;
-            int64_t clean = config.op == Fig5Operator::Adder4
-                ? static_cast<int64_t>(a + b)
-                : static_cast<int64_t>(a * b);
-            h.none.add(clean);
-            h.trans.add(static_cast<int64_t>(
-                trans_out[i] & ((1ull << out_bits) - 1)));
-            h.gate.add(static_cast<int64_t>(
-                gate_out[i] & ((1ull << out_bits) - 1)));
-        }
-        h.sim.merge(trans_sim.counters());
-        h.sim.merge(gate_sim.counters());
-        if (config.journal)
-            config.journal->store(
-                key, "{\"none\":" + h.none.toJson() +
-                    ",\"gate\":" + h.gate.toJson() +
-                    ",\"trans\":" + h.trans.toJson() +
-                    ",\"sim\":" + h.sim.toJson() + "}");
-        engine.reportCell(op_name, config.defects,
-                          static_cast<int>(rep), 0.0);
-    });
-
-    for (const RepHists &h : hists) {
-        result.none.merge(h.none);
-        result.gate.merge(h.gate);
-        result.trans.merge(h.trans);
-        result.sim.merge(h.sim);
+    std::vector<Fig5Result> results;
+    for (const Fig5Config &v : variants)
+        results.push_back({v.op, v.defects, v.repetitions, v.style,
+                           v.seed, {}, {}, {}, {}});
+    for (size_t i = 0; i < cells.size(); ++i) {
+        if (!out[i])
+            continue;
+        Fig5Result &r = results[cells[i].task];
+        IntHistogram *hist[3] = {&r.none, &r.gate, &r.trans};
+        for (size_t k = 0; k < 3; ++k)
+            for (size_t v = 0; v < 256; ++v)
+                if (out[i]->hist[k][v] != 0)
+                    hist[k]->add(static_cast<int64_t>(v),
+                                 out[i]->hist[k][v]);
+        r.sim.merge(out[i]->sim);
     }
-    logSimCounters("fig5", result.sim);
-    return result;
+    for (const Fig5Result &r : results)
+        logSimCounters("fig5", r.sim);
+    return results;
 }
 
 // ---------------------------------------------------------------
@@ -283,6 +344,30 @@ selectTasks(const std::vector<std::string> &names)
     for (const auto &n : names)
         out.push_back(uciTask(n));
     return out;
+}
+
+std::vector<CampaignCell>
+defectSweepCells(const std::string &kind, const CampaignConfig &config,
+                 const std::vector<int> &defectCounts,
+                 const std::vector<std::string> &suffixes)
+{
+    std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
+    std::vector<CampaignCell> cells;
+    for (size_t t = 0; t < specs.size(); ++t)
+        for (size_t d = 0; d < defectCounts.size(); ++d) {
+            // The defect-free point is a single evaluation (no
+            // injection randomness).
+            int reps = defectCounts[d] == 0 ? 1 : config.repetitions;
+            for (size_t s = 0; s < suffixes.size(); ++s) {
+                std::string variant = "v" + std::to_string(d) + ":d" +
+                    std::to_string(defectCounts[d]) + suffixes[s];
+                for (int rep = 0; rep < reps; ++rep)
+                    cells.push_back({{kind, specs[t].name, variant,
+                                      static_cast<uint64_t>(rep)},
+                                     t, d, s});
+            }
+        }
+    return cells;
 }
 
 Hyper
@@ -351,9 +436,9 @@ taskContextKey(const CampaignConfig &config, const UciTaskSpec &spec,
 
 std::vector<std::shared_ptr<const TaskContext>>
 prepareCampaignTasks(CampaignEngine &engine,
-                     const CampaignConfig &config,
-                     const std::vector<UciTaskSpec> &specs)
+                     const CampaignConfig &config)
 {
+    std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
     std::vector<std::shared_ptr<const TaskContext>> ctx(specs.size());
     engine.parallelFor(specs.size(), [&](size_t t) {
         if (config.contextCache != nullptr) {
@@ -371,106 +456,77 @@ prepareCampaignTasks(CampaignEngine &engine,
 // ---------------------------------------------------------------
 // Fig 10
 
+std::vector<CampaignCell>
+fig10Cells(const Fig10Config &config)
+{
+    return defectSweepCells("fig10", config, config.defectCounts, {""});
+}
+
 std::vector<Fig10Curve>
 runFig10(const Fig10Config &config)
 {
-    std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
+    std::vector<CampaignCell> cells = fig10Cells(config);
     CampaignEngine engine(config);
-    auto ctx = prepareCampaignTasks(engine, config, specs);
+    auto ctx = prepareCampaignTasks(engine, config);
 
-    // Flatten the campaign into independent cells. The defect-free
-    // point is a single evaluation (no injection randomness).
-    struct Cell
-    {
-        size_t task;
-        size_t variant; ///< index into defectCounts
-        int rep;
-    };
-    std::vector<Cell> cells;
-    for (size_t t = 0; t < specs.size(); ++t)
-        for (size_t d = 0; d < config.defectCounts.size(); ++d) {
-            int reps =
-                config.defectCounts[d] == 0 ? 1 : config.repetitions;
-            for (int rep = 0; rep < reps; ++rep)
-                cells.push_back({t, d, rep});
-        }
+    auto out = engine.runCells<Fig10Cell>(
+        config, cells,
+        [&](const CampaignCell &c) {
+            const TaskContext &t = *ctx[c.task];
+            int defects = config.defectCounts[c.variant];
+            // The cell's whole randomness budget comes from one
+            // counter-derived stream: injection first, then fold
+            // shuffling and retraining.
+            Rng rng = Rng::substream(
+                config.seed, {kStreamCell, c.task, c.variant, c.key.rep});
 
-    std::vector<double> accuracy(cells.size());
-    std::vector<SimCounters> cellSim(cells.size());
-    engine.beginCampaign(cells.size());
-    engine.parallelFor(cells.size(), [&](size_t i) {
-        const Cell &c = cells[i];
-        const TaskContext &t = *ctx[c.task];
-        int defects = config.defectCounts[c.variant];
+            auto accel = makeBackend(config.backend, config.array,
+                                     t.logical);
+            if (defects > 0) {
+                DefectInjector injector(*accel,
+                                        SitePool::inputAndHidden(),
+                                        config.weighting);
+                injector.inject(defects, rng);
+            }
 
-        CellKey key{"fig10", t.spec.name,
-                    "v" + std::to_string(c.variant) + ":d" +
-                        std::to_string(defects),
-                    static_cast<uint64_t>(c.rep)};
-        if (journalLookup(config.journal, key, [&](const JsonValue &v) {
-                accuracy[i] = v.at("accuracy").asNumber();
-                cellSim[i] = SimCounters::fromJson(v.at("sim"));
-            })) {
-            engine.reportCell(t.spec.name, defects, c.rep, accuracy[i]);
-            return;
-        }
-        if (!config.inShard(i))
-            return;
-
-        // The cell's whole randomness budget comes from one
-        // counter-derived stream: injection first, then fold
-        // shuffling and retraining.
-        Rng rng = Rng::substream(
-            config.seed, {kStreamCell, c.task, c.variant,
-                          static_cast<uint64_t>(c.rep)});
-
-        auto accel = makeBackend(config.backend, config.array,
-                                 t.logical);
-        if (defects > 0) {
-            DefectInjector injector(*accel, SitePool::inputAndHidden(),
-                                    config.weighting);
-            injector.inject(defects, rng);
-        }
-
-        double acc;
-        if (config.retrain) {
-            Trainer retrainer(
-                retrainHyper(t.hyper, config.retrainScale));
-            acc = crossValidate(*accel, t.ds, config.folds, retrainer,
-                                rng, &t.baseline)
-                      .meanAccuracy;
-        } else {
-            // Ablation: no retraining, test the baseline weights
-            // through the faulty hardware.
-            accel->setWeights(t.baseline);
-            acc = evalAccuracy(*accel, t.ds);
-        }
-        accuracy[i] = acc;
-        cellSim[i] = accel->simCounters();
-        if (config.journal)
-            config.journal->store(
-                key, "{\"accuracy\":" + jsonNumber(acc) +
-                    ",\"sim\":" + cellSim[i].toJson() + "}");
-        engine.reportCell(t.spec.name, defects, c.rep, acc);
-    });
+            double acc;
+            if (config.retrain) {
+                Trainer retrainer(
+                    retrainHyper(t.hyper, config.retrainScale));
+                acc = crossValidate(*accel, t.ds, config.folds,
+                                    retrainer, rng, &t.baseline)
+                          .meanAccuracy;
+            } else {
+                // Ablation: no retraining, test the baseline weights
+                // through the faulty hardware.
+                accel->setWeights(t.baseline);
+                acc = evalAccuracy(*accel, t.ds);
+            }
+            return Fig10Cell{acc, accel->simCounters()};
+        },
+        [&](const CampaignCell &c, const Fig10Cell &p) {
+            return CellReport{c.key.task,
+                              config.defectCounts[c.variant],
+                              static_cast<int>(c.key.rep), p.accuracy};
+        });
 
     // Deterministic accumulation: cells are folded into the curves
     // in cell-index order, never in completion order.
-    std::vector<Fig10Curve> curves(specs.size());
-    std::vector<RunningStat> stats(specs.size() *
-                                   config.defectCounts.size());
+    size_t n_var = config.defectCounts.size();
+    std::vector<Fig10Curve> curves(ctx.size());
+    std::vector<RunningStat> stats(ctx.size() * n_var);
     for (size_t i = 0; i < cells.size(); ++i) {
-        stats[cells[i].task * config.defectCounts.size() +
-              cells[i].variant]
-            .add(accuracy[i]);
-        curves[cells[i].task].sim.merge(cellSim[i]);
+        if (!out[i])
+            continue;
+        stats[cells[i].task * n_var + cells[i].variant].add(
+            out[i]->accuracy);
+        curves[cells[i].task].sim.merge(out[i]->sim);
     }
     SimCounters total;
-    for (size_t t = 0; t < specs.size(); ++t) {
-        curves[t].task = specs[t].name;
-        for (size_t d = 0; d < config.defectCounts.size(); ++d) {
-            const RunningStat &s =
-                stats[t * config.defectCounts.size() + d];
+    for (size_t t = 0; t < ctx.size(); ++t) {
+        curves[t].task = ctx[t]->spec.name;
+        for (size_t d = 0; d < n_var; ++d) {
+            const RunningStat &s = stats[t * n_var + d];
             curves[t].points.push_back(
                 {config.defectCounts[d], s.mean(), s.stddev()});
         }
@@ -483,100 +539,88 @@ runFig10(const Fig10Config &config)
 // ---------------------------------------------------------------
 // Fig 11
 
+std::vector<CampaignCell>
+fig11Cells(const Fig11Config &config)
+{
+    std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
+    std::vector<CampaignCell> cells;
+    for (size_t t = 0; t < specs.size(); ++t)
+        for (int rep = 0; rep < config.repetitions; ++rep)
+            cells.push_back({{"fig11", specs[t].name, "v0",
+                              static_cast<uint64_t>(rep)},
+                             t});
+    return cells;
+}
+
 std::vector<Fig11Curve>
 runFig11(const Fig11Config &config)
 {
-    std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
+    std::vector<CampaignCell> cells = fig11Cells(config);
     CampaignEngine engine(config);
-    auto ctx = prepareCampaignTasks(engine, config, specs);
+    auto ctx = prepareCampaignTasks(engine, config);
 
-    size_t reps = static_cast<size_t>(std::max(0, config.repetitions));
-    std::vector<Fig11Sample> samples(specs.size() * reps);
-    std::vector<SimCounters> cellSim(samples.size());
+    auto out = engine.runCells<Fig11Cell>(
+        config, cells,
+        [&](const CampaignCell &c) {
+            const TaskContext &t = *ctx[c.task];
+            Rng rng = Rng::substream(config.seed,
+                                     {kStreamCell, c.task, 0, c.key.rep});
 
-    engine.beginCampaign(samples.size());
-    engine.parallelFor(samples.size(), [&](size_t i) {
-        size_t task = i / reps;
-        size_t rep = i % reps;
-        const TaskContext &t = *ctx[task];
+            auto accel = makeBackend(config.backend, config.array,
+                                     t.logical);
+            DefectInjector injector(*accel, SitePool::outputCritical(),
+                                    config.weighting);
+            auto records = injector.inject(1, rng);
+            UnitSite site = accel->faultySites().front();
 
-        CellKey key{"fig11", t.spec.name, "v0", rep};
-        if (journalLookup(config.journal, key, [&](const JsonValue &v) {
-                Fig11Sample &s = samples[i];
-                s.task = t.spec.name;
-                s.amplitude = v.at("amplitude").asNumber();
-                s.accuracy = v.at("accuracy").asNumber();
-                s.site = v.at("site").asString();
-                cellSim[i] = SimCounters::fromJson(v.at("sim"));
-            })) {
-            engine.reportCell(t.spec.name, 1, static_cast<int>(rep),
-                              samples[i].accuracy);
-            return;
-        }
-        if (!config.inShard(i))
-            return;
-
-        Rng rng = Rng::substream(config.seed,
-                                 {kStreamCell, task, 0, rep});
-
-        auto accel = makeBackend(config.backend, config.array,
-                                 t.logical);
-        DefectInjector injector(*accel, SitePool::outputCritical(),
-                                config.weighting);
-        auto records = injector.inject(1, rng);
-        UnitSite site = accel->faultySites().front();
-
-        // Retrain with the faulty output stage, then measure
-        // accuracy and the error amplitude at the faulty unit
-        // during the test phase only.
-        Trainer retrainer(retrainHyper(t.hyper, config.retrainScale));
-        auto folds = kFoldIndices(t.ds.size(), config.folds);
-        RunningStat acc_stat;
-        RunningStat amp_stat;
-        for (size_t f = 0; f < folds.size(); ++f) {
-            Dataset train_set = complementSubset(t.ds, folds, f);
-            Dataset test_set = subset(t.ds, folds[f]);
-            retrainer.train(*accel, train_set, rng, &t.baseline);
-            accel->clearProbes();
-            acc_stat.add(evalAccuracy(*accel, test_set));
-            const DeviationProbe &p = accel->probe(site);
-            if (p.amplitude.count() > 0)
-                amp_stat.add(p.amplitude.mean());
-        }
-        Fig11Sample &sample = samples[i];
-        sample.task = t.spec.name;
-        sample.accuracy = acc_stat.mean();
-        sample.amplitude = amp_stat.mean();
-        sample.site = records.empty() ? site.describe()
-                                      : records.front().what;
-        cellSim[i] = accel->simCounters();
-        if (config.journal)
-            config.journal->store(
-                key, "{\"amplitude\":" + jsonNumber(sample.amplitude) +
-                    ",\"accuracy\":" + jsonNumber(sample.accuracy) +
-                    ",\"site\":" + jsonString(sample.site) +
-                    ",\"sim\":" + cellSim[i].toJson() + "}");
-        engine.reportCell(t.spec.name, 1, static_cast<int>(rep),
-                          sample.accuracy);
-    });
+            // Retrain with the faulty output stage, then measure
+            // accuracy and the error amplitude at the faulty unit
+            // during the test phase only.
+            Trainer retrainer(retrainHyper(t.hyper, config.retrainScale));
+            auto folds = kFoldIndices(t.ds.size(), config.folds);
+            RunningStat acc_stat;
+            RunningStat amp_stat;
+            for (size_t f = 0; f < folds.size(); ++f) {
+                Dataset train_set = complementSubset(t.ds, folds, f);
+                Dataset test_set = subset(t.ds, folds[f]);
+                retrainer.train(*accel, train_set, rng, &t.baseline);
+                accel->clearProbes();
+                acc_stat.add(evalAccuracy(*accel, test_set));
+                const DeviationProbe &p = accel->probe(site);
+                if (p.amplitude.count() > 0)
+                    amp_stat.add(p.amplitude.mean());
+            }
+            return Fig11Cell{amp_stat.mean(), acc_stat.mean(),
+                             records.empty() ? site.describe()
+                                             : records.front().what,
+                             accel->simCounters()};
+        },
+        [&](const CampaignCell &c, const Fig11Cell &p) {
+            return CellReport{c.key.task, 1,
+                              static_cast<int>(c.key.rep), p.accuracy};
+        });
 
     // Bin in cell-index order for deterministic curves.
-    std::vector<Fig11Curve> curves(specs.size());
+    std::vector<Fig11Curve> curves(ctx.size());
+    std::vector<LogBins> bins(ctx.size(), LogBins(-3, 3, 1));
+    for (size_t i = 0; i < cells.size(); ++i) {
+        if (!out[i])
+            continue;
+        Fig11Curve &curve = curves[cells[i].task];
+        bins[cells[i].task].add(out[i]->amplitude, out[i]->accuracy);
+        curve.samples.push_back({cells[i].key.task,
+                                 out[i]->amplitude, out[i]->accuracy,
+                                 std::move(out[i]->site)});
+        curve.sim.merge(out[i]->sim);
+    }
     SimCounters total;
-    for (size_t task = 0; task < specs.size(); ++task) {
-        Fig11Curve &curve = curves[task];
-        curve.task = specs[task].name;
-        LogBins bins(-3, 3, 1);
-        for (size_t rep = 0; rep < reps; ++rep) {
-            Fig11Sample &s = samples[task * reps + rep];
-            bins.add(s.amplitude, s.accuracy);
-            curve.samples.push_back(std::move(s));
-            curve.sim.merge(cellSim[task * reps + rep]);
-        }
-        for (size_t b = 0; b < bins.numBins(); ++b)
-            if (bins.binStat(b).count() > 0)
+    for (size_t t = 0; t < ctx.size(); ++t) {
+        Fig11Curve &curve = curves[t];
+        curve.task = ctx[t]->spec.name;
+        for (size_t b = 0; b < bins[t].numBins(); ++b)
+            if (bins[t].binStat(b).count() > 0)
                 curve.binAccuracy.push_back(
-                    {bins.binCenter(b), bins.binStat(b).mean()});
+                    {bins[t].binCenter(b), bins[t].binStat(b).mean()});
         total.merge(curve.sim);
     }
     logSimCounters("fig11", total);

@@ -46,10 +46,10 @@ const char *fig5OperatorName(Fig5Operator op);
 bool fig5OperatorFromName(const std::string &name, Fig5Operator &out);
 
 /**
- * Scaling knobs of the small-operator defect campaign. Execution
- * fields (repetitions/seed/threads/progress/journal) come from the
- * shared CampaignRunConfig base, so every campaign config presents
- * one API shape to the scenario-spec parser.
+ * One variant of the small-operator defect campaign (an element of
+ * Fig5Sweep::expand(), whose spec echo stands for the whole sweep).
+ * Execution fields (repetitions/seed/threads/progress/journal) come
+ * from the shared CampaignRunConfig base.
  */
 struct Fig5Config : CampaignRunConfig
 {
@@ -58,11 +58,6 @@ struct Fig5Config : CampaignRunConfig
     Fig5Operator op = Fig5Operator::Adder4;
     int defects = 1;
     FaStyle style = FaStyle::Nand9;
-
-    /** JSON object (spec echo). */
-    std::string toJson() const;
-    /** Symmetric counterpart of toJson(); throws JsonError. */
-    static Fig5Config fromJson(const JsonValue &v);
 };
 
 /** Result histograms of one Fig 5 configuration. */
@@ -83,10 +78,14 @@ struct Fig5Result
 };
 
 /**
- * Run one Fig 5 configuration: @p config.repetitions random
- * injections, each evaluated on all 256 input pairs in random order.
+ * Run a Fig 5 sweep (Fig5Sweep::expand()'s variants; one
+ * configuration is {config}) as one cell table and return one
+ * result per variant: per variant, repetitions random injections,
+ * each evaluated on all 256 input pairs in random order. Execution
+ * knobs (threads, journal, progress, shard) come from the first
+ * variant.
  */
-Fig5Result runFig5(const Fig5Config &config);
+std::vector<Fig5Result> runFig5(const std::vector<Fig5Config> &variants);
 
 // ---------------------------------------------------------------
 // Fig 10
@@ -170,8 +169,29 @@ std::vector<Fig11Curve> runFig11(const Fig11Config &config);
 // ---------------------------------------------------------------
 // Shared helpers (public so benches/tests don't re-implement them)
 
-/** Task specs selected by a campaign config (empty = all 10). */
+/** Task specs selected by a campaign config (empty = all 10);
+ *  throws JsonError on an unknown name (see uciTask()). */
 std::vector<UciTaskSpec> selectTasks(const std::vector<std::string> &names);
+
+/**
+ * Cell tables: one enumeration per campaign kind (mitigationCells
+ * in mitigate/campaign.hh), called by both its runner and the
+ * admission plan (service/plan.hh). Cells run task-major (Fig 5:
+ * variant-major), then defect count, then repetition, with one
+ * repetition at 0 defects; unknown task names throw JsonError.
+ */
+std::vector<CampaignCell> fig5Cells(const std::vector<Fig5Config> &variants);
+std::vector<CampaignCell> fig10Cells(const Fig10Config &config);
+std::vector<CampaignCell> fig11Cells(const Fig11Config &config);
+
+/**
+ * The Fig 10 / mitigation table shape, with one key variant
+ * "v<d>:d<defects><suffix>" per defect count and suffix.
+ */
+std::vector<CampaignCell>
+defectSweepCells(const std::string &kind, const CampaignConfig &config,
+                 const std::vector<int> &defectCounts,
+                 const std::vector<std::string> &suffixes);
 
 /**
  * Per-task state shared (read-only) by every cell of that task:
@@ -234,14 +254,13 @@ std::string taskContextKey(const CampaignConfig &config,
                            const UciTaskSpec &spec, size_t index);
 
 /**
- * Prepare the per-task contexts of @p specs in parallel on
+ * Prepare the contexts of @p config's tasks in parallel on
  * @p engine, consulting @p config.contextCache when set. Shared by
  * every network-level campaign (Fig 10/11, mitigation).
  */
 std::vector<std::shared_ptr<const TaskContext>>
 prepareCampaignTasks(CampaignEngine &engine,
-                     const CampaignConfig &config,
-                     const std::vector<UciTaskSpec> &specs);
+                     const CampaignConfig &config);
 
 /** Hyper-parameters used on the hardware for @p spec. */
 Hyper hardwareHyper(const UciTaskSpec &spec, const AcceleratorConfig &a,

@@ -1,5 +1,7 @@
 #include "core/engine.hh"
 
+#include <mutex>
+
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -10,25 +12,6 @@ CellKey::toString() const
 {
     return campaign + "/" + task + "/" + variant + "/" +
         std::to_string(rep);
-}
-
-bool
-journalLookup(CellCache *journal, const CellKey &key,
-              const std::function<void(const JsonValue &)> &decode)
-{
-    if (journal == nullptr)
-        return false;
-    std::string payload;
-    if (!journal->lookup(key, payload))
-        return false;
-    try {
-        decode(jsonParse(payload));
-        return true;
-    } catch (const JsonError &e) {
-        warn("journaled cell %s is corrupt (%s); recomputing",
-             key.toString().c_str(), e.what());
-        return false;
-    }
 }
 
 std::string
@@ -98,13 +81,12 @@ CampaignEngine::CampaignEngine(const CampaignRunConfig &config)
                 : std::make_unique<ThreadPool>(config.threads)),
       pool(config.sharedPool != nullptr ? config.sharedPool
                                         : owned.get()),
-      cancel(config.cancel), onCellDone(config.onCellDone)
+      cancel(config.cancel)
 {
 }
 
-CampaignEngine::CampaignEngine(int threads, ProgressCallback on_cell_done)
-    : owned(std::make_unique<ThreadPool>(threads)), pool(owned.get()),
-      onCellDone(std::move(on_cell_done))
+CampaignEngine::CampaignEngine(int threads)
+    : owned(std::make_unique<ThreadPool>(threads)), pool(owned.get())
 {
 }
 
@@ -129,21 +111,47 @@ CampaignEngine::parallelFor(size_t n,
 }
 
 void
-CampaignEngine::beginCampaign(size_t total_cells)
+CampaignEngine::runTable(const CampaignRunConfig &config,
+                         const std::vector<CampaignCell> &cells,
+                         const CellHooks &hooks)
 {
-    std::lock_guard<std::mutex> lk(mu);
-    done = 0;
-    total = total_cells;
-}
-
-void
-CampaignEngine::reportCell(const std::string &task, int defects, int rep,
-                           double accuracy)
-{
-    std::lock_guard<std::mutex> lk(mu);
-    ++done;
-    if (onCellDone)
-        onCellDone({task, defects, rep, accuracy, done, total});
+    CellCache *journal = config.journal;
+    std::mutex mu;
+    size_t done = 0;
+    parallelFor(cells.size(), [&](size_t i) {
+        const CellKey &key = cells[i].key;
+        std::string payload;
+        bool replayed = false;
+        if (journal != nullptr && journal->lookup(key, payload)) {
+            try {
+                hooks.decode(i, jsonParse(payload));
+                replayed = true;
+            } catch (const JsonError &e) {
+                // Corrupt journals degrade to recomputation, never
+                // to a crash.
+                warn("journaled cell %s is corrupt (%s); recomputing",
+                     key.toString().c_str(), e.what());
+            }
+        }
+        if (!replayed) {
+            // Sharded worker: cells owned by other shards are left
+            // for their processes; the merged journals replay them.
+            if (config.shardCount > 1 &&
+                i % static_cast<size_t>(config.shardCount) !=
+                    static_cast<size_t>(config.shardIndex))
+                return;
+            hooks.compute(i);
+            if (journal != nullptr)
+                journal->store(key, hooks.encode(i));
+        }
+        if (!config.onCellDone)
+            return;
+        CellReport report = hooks.report(i);
+        std::lock_guard<std::mutex> lk(mu);
+        report.cellsDone = ++done;
+        report.cellsTotal = cells.size();
+        config.onCellDone(report);
+    });
 }
 
 } // namespace dtann

@@ -1,18 +1,20 @@
 /**
  * @file
- * Parallel campaign engine.
+ * Parallel campaign engine and its cell runner.
  *
- * The paper's defect-injection campaigns (Figs 10/11 and the
+ * The paper's defect-injection campaigns (Figs 5/10/11 and the
  * ablations) are embarrassingly parallel: tasks x defect counts x
  * ~100 faulty-network repetitions, each an independent
- * inject -> retrain -> cross-validate run. The engine schedules each
- * such (task, variant, repetition) cell as one work unit on a
- * fixed-size worker pool.
+ * inject -> retrain -> measure run. Each campaign kind lists them
+ * once as a flat table of CampaignCells, and runCells() is the one
+ * runner of such tables: journal replay, shard filter, store and
+ * progress live there, and a kind supplies only a payload type
+ * (toJson/fromJson), a compute hook and a fold.
  *
  * Determinism: every cell derives all of its randomness with
  * Rng::substream(seed, {stream, task, variant, rep}) — counter-based
  * splitting, a pure function of the cell coordinates — and results
- * are accumulated in cell-index order after the parallel phase.
+ * are folded in cell-index order after the parallel phase.
  * Campaign output is therefore bit-identical for any thread count,
  * including 1 (covered by EngineDeterminism tests).
  */
@@ -24,7 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,6 +38,7 @@
 
 namespace dtann {
 
+class JsonValue;          // common/json.hh
 class SharedContextCache; // core/campaign.hh
 
 /**
@@ -58,8 +61,8 @@ struct CellReport
     int defects;       ///< defect count of the cell
     int rep;           ///< repetition index within (task, defects)
     double accuracy;   ///< cell outcome
-    size_t cellsDone;  ///< cells finished so far (including this one)
-    size_t cellsTotal; ///< total cells in the campaign
+    size_t cellsDone = 0;  ///< cells resolved so far (including this one)
+    size_t cellsTotal = 0; ///< total cells in the campaign
 };
 
 /**
@@ -93,14 +96,15 @@ struct CellKey
 };
 
 /**
- * Checkpoint store consulted by the campaign runners: before a cell
- * is computed, lookup() may produce the journaled payload of a
+ * Checkpoint store consulted by CampaignEngine::runCells(): before a
+ * cell is computed, lookup() may produce the journaled payload of a
  * previous run (the cell is then skipped); after a cell is
- * computed, store() persists its payload. Payloads are JSON
- * produced and parsed by the campaign that owns the cell, and
- * round-trip exactly, so a resumed campaign is bit-identical to an
- * uninterrupted one. Both methods are called from worker threads
- * and must be thread-safe.
+ * computed, store() persists its payload. A computed cell's lookup()
+ * and store() run on the same worker thread, with the computation
+ * between them. Payloads are JSON produced and parsed by the
+ * campaign that owns the cell, and round-trip exactly, so a resumed
+ * campaign is bit-identical to an uninterrupted one. Both methods
+ * are called from worker threads and must be thread-safe.
  */
 class CellCache
 {
@@ -116,16 +120,17 @@ class CellCache
 };
 
 /**
- * Look @p key up in @p journal (nullptr = no journal) and hand the
- * parsed payload to @p decode. Returns true when the cell was
- * replayed from the journal and must be skipped; returns false —
- * the cell must be computed — when the journal has no such key or
- * the payload fails to parse (corrupt journals degrade to
- * recomputation, never to a crash; a warning is logged).
+ * One row of a campaign's cell table: its journal key plus the
+ * coordinates its compute hook reads. The row's flat index is what
+ * sharding filters on and what the fold follows.
  */
-bool journalLookup(
-    CellCache *journal, const CellKey &key,
-    const std::function<void(const class JsonValue &)> &decode);
+struct CampaignCell
+{
+    CellKey key;
+    size_t task = 0;     ///< index into the task list (fig5: variants)
+    size_t variant = 0;  ///< index into the swept defect counts
+    size_t strategy = 0; ///< index into the mitigation lineup
+};
 
 /**
  * Execution knobs shared by *every* campaign config, including
@@ -166,8 +171,8 @@ struct CampaignRunConfig
     /**
      * Deterministic multi-process sharding: with shardCount > 1
      * this run computes only the cells whose flat index i within
-     * each campaign cell list satisfies i % shardCount ==
-     * shardIndex; the rest stay empty (journaled cells replay
+     * the campaign's cell table satisfies i % shardCount ==
+     * shardIndex; the rest stay unresolved (journaled cells replay
      * regardless of the filter). Cells are placement-independent —
      * all their randomness is Rng::substream of the cell
      * coordinates — so merging the shards' journals and replaying
@@ -178,14 +183,6 @@ struct CampaignRunConfig
     int shardCount = 1;
     /** This worker's shard in [0, shardCount). */
     int shardIndex = 0;
-
-    /** True when flat cell index @p i belongs to this shard. */
-    bool inShard(size_t i) const
-    {
-        return shardCount <= 1 ||
-               i % static_cast<size_t>(shardCount) ==
-                   static_cast<size_t>(shardIndex);
-    }
 
     /** Shared-field JSON fragment (no surrounding braces). */
     std::string jsonRunFields() const;
@@ -219,22 +216,20 @@ struct CampaignConfig : CampaignRunConfig
 };
 
 /**
- * Fixed-size worker pool plus campaign progress accounting.
+ * Fixed-size worker pool plus the campaign cell runner.
  *
  * Campaign code uses it in two phases: parallelFor over tasks to
  * prepare shared per-task state (dataset, baseline weights), then
- * parallelFor over the flattened cell list. Cells report through
- * reportCell() so long campaigns surface progress.
+ * runCells over the campaign's cell table.
  */
 class CampaignEngine
 {
   public:
-    /** Engine for @p config (thread count and progress callback). */
+    /** Engine for @p config (thread count, shared pool, cancel flag). */
     explicit CampaignEngine(const CampaignRunConfig &config);
 
     /** Standalone engine (benches, non-figure campaigns). */
-    explicit CampaignEngine(int threads,
-                            ProgressCallback on_cell_done = {});
+    explicit CampaignEngine(int threads);
 
     /** Resolved execution width (>= 1). */
     int threads() const { return pool->size(); }
@@ -248,24 +243,50 @@ class CampaignEngine
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
-    /** Arm progress accounting for a campaign of @p total cells. */
-    void beginCampaign(size_t total);
-
     /**
-     * Record one finished cell: bumps the done counter and invokes
-     * the progress callback (if any). Thread-safe.
+     * Resolve every cell in parallel: replay its journaled payload
+     * (Payload::fromJson; a corrupt one warns and recomputes), or,
+     * when its flat index is in this run's shard, compute(cell) it
+     * and journal Payload::toJson(). Each resolved cell is reported
+     * to config.onCellDone as label(cell, payload), cellsDone
+     * counting 1, 2, ... of cellsTotal = cells.size().
+     *
+     * @return one entry per cell; empty for other shards' cells
      */
-    void reportCell(const std::string &task, int defects, int rep,
-                    double accuracy);
+    template <typename Payload, typename Compute, typename Label>
+    std::vector<std::optional<Payload>>
+    runCells(const CampaignRunConfig &config,
+             const std::vector<CampaignCell> &cells,
+             const Compute &compute, const Label &label)
+    {
+        std::vector<std::optional<Payload>> out(cells.size());
+        runTable(config, cells,
+                 {[&](size_t i, const JsonValue &v) {
+                      out[i] = Payload::fromJson(v);
+                  },
+                  [&](size_t i) { out[i] = compute(cells[i]); },
+                  [&](size_t i) { return out[i]->toJson(); },
+                  [&](size_t i) { return label(cells[i], *out[i]); }});
+        return out;
+    }
 
   private:
+    /** runCells() hooks, type-erased and keyed by flat cell index. */
+    struct CellHooks
+    {
+        std::function<void(size_t, const JsonValue &)> decode;
+        std::function<void(size_t)> compute;
+        std::function<std::string(size_t)> encode;
+        std::function<CellReport(size_t)> report;
+    };
+
+    void runTable(const CampaignRunConfig &config,
+                  const std::vector<CampaignCell> &cells,
+                  const CellHooks &hooks);
+
     std::unique_ptr<ThreadPool> owned; ///< empty with a shared pool
     ThreadPool *pool;                  ///< owned.get() or borrowed
     const std::atomic<bool> *cancel = nullptr;
-    ProgressCallback onCellDone;
-    std::mutex mu;
-    size_t done = 0;
-    size_t total = 0;
 };
 
 } // namespace dtann

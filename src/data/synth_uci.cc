@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
+#include "common/json.hh"
 
 namespace dtann {
 
@@ -31,10 +31,14 @@ uciTasks()
 const UciTaskSpec &
 uciTask(const std::string &name)
 {
-    for (const UciTaskSpec &t : uciTasks())
+    std::string known;
+    for (const UciTaskSpec &t : uciTasks()) {
         if (t.name == name)
             return t;
-    fatal("unknown UCI task '%s'", name.c_str());
+        known += (known.empty() ? "" : ", ") + t.name;
+    }
+    throw JsonError("unknown task '" + name + "' (expected one of: " +
+                    known + ")");
 }
 
 Dataset

@@ -41,7 +41,10 @@ struct UciTaskSpec
 /** The paper's 10-task benchmark suite. */
 const std::vector<UciTaskSpec> &uciTasks();
 
-/** Find a task spec by name; fatal when unknown. */
+/**
+ * Find a task spec by name. An unknown name is a spec error: throws
+ * JsonError naming the accepted tasks.
+ */
 const UciTaskSpec &uciTask(const std::string &name);
 
 /**

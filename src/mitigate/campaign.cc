@@ -25,35 +25,6 @@ enum StreamRoot : uint64_t {
 };
 
 /**
- * Decode one journaled mitigation cell.
- *
- * Journal-compat contract: a payload written by a different build
- * may lack fields this build knows (or carry extras it doesn't).
- * Every result field is *required for replay* — a missing one
- * throws JsonError here, which journalLookup turns into a warn +
- * recompute of just that cell, because substituting a default
- * would silently change the merged export (the byte-identity
- * contract). Extra unknown fields are ignored, and *within* the
- * sim object genuinely derivable counters default (see
- * SimCounters::fromJson, e.g. pre-wide-lane lane slots). The
- * outcome is built locally and committed whole, so a mid-decode
- * throw can never leave a half-rehydrated cell behind.
- */
-MitigationOutcome
-decodeJournaledCell(const JsonValue &v)
-{
-    MitigationOutcome o;
-    o.accuracy = v.at("accuracy").asNumber();
-    o.coverage = v.at("coverage").asNumber();
-    o.diagnosed =
-        static_cast<int>(v.at("diagnosed").asInt(0, INT32_MAX));
-    o.mitigatedUnits =
-        static_cast<int>(v.at("mitigated_units").asInt(0, INT32_MAX));
-    o.sim = SimCounters::fromJson(v.at("sim"));
-    return o;
-}
-
-/**
  * Per-bit transistor estimates for the small mitigation add-ons, in
  * the same NAND-cell style the unit netlists use: a 2:1 mux is
  * three NAND2s (12 T), a magnitude-comparator bit-slice about
@@ -245,123 +216,79 @@ MitigationConfig::fromJson(const JsonValue &v)
     return c;
 }
 
+std::vector<CampaignCell>
+mitigationCells(const MitigationConfig &config)
+{
+    std::vector<std::string> suffixes;
+    for (Strategy s : config.strategies)
+        suffixes.push_back(std::string(":") + strategyName(s));
+    return defectSweepCells("mitigation", config, config.defectCounts,
+                            suffixes);
+}
+
 std::vector<MitigationCurve>
 runMitigationCampaign(const MitigationConfig &config)
 {
-    std::vector<UciTaskSpec> specs = selectTasks(config.tasks);
+    std::vector<CampaignCell> cells = mitigationCells(config);
     CampaignEngine engine(config);
 
     // The shared preparation path (core/campaign): identical
     // (seed, scale) configs yield identical contexts to Fig 10/11,
     // so a daemon's context cache is shared across campaign kinds.
-    auto ctx = prepareCampaignTasks(engine, config, specs);
+    auto ctx = prepareCampaignTasks(engine, config);
 
-    // Flatten into independent cells. The defect-free point runs a
-    // single repetition per strategy (no injection randomness).
-    struct Cell
-    {
-        size_t task;
-        size_t variant; ///< index into defectCounts
-        size_t strat;   ///< index into strategies
-        int rep;
-    };
-    std::vector<Cell> cells;
-    for (size_t t = 0; t < specs.size(); ++t)
-        for (size_t d = 0; d < config.defectCounts.size(); ++d) {
-            int reps =
-                config.defectCounts[d] == 0 ? 1 : config.repetitions;
-            for (size_t s = 0; s < config.strategies.size(); ++s)
-                for (int rep = 0; rep < reps; ++rep)
-                    cells.push_back({t, d, s, rep});
-        }
+    auto outcomes = engine.runCells<MitigationOutcome>(
+        config, cells,
+        [&](const CampaignCell &c) {
+            const TaskContext &t = *ctx[c.task];
+            int defects = config.defectCounts[c.variant];
+            Strategy strategy = config.strategies[c.strategy];
 
-    std::vector<MitigationOutcome> outcomes(cells.size());
-    // A sharded run computes only its own cells (plus whatever the
-    // journal replays); the rest stay default-constructed and must
-    // not leak into the aggregates below.
-    std::vector<uint8_t> computed(cells.size(), 0);
-    engine.beginCampaign(cells.size());
-    engine.parallelFor(cells.size(), [&](size_t i) {
-        const Cell &c = cells[i];
-        const TaskContext &t = *ctx[c.task];
-        int defects = config.defectCounts[c.variant];
-        Strategy strategy = config.strategies[c.strat];
+            MitigationSetup setup{
+                config.array,
+                t.logical,
+                t.ds,
+                retrainHyper(t.hyper, config.retrainScale),
+                t.baseline,
+                config.folds,
+                config.bist,
+                config.backend,
+            };
 
-        CellKey key{"mitigation", t.spec.name,
-                    "v" + std::to_string(c.variant) + ":d" +
-                        std::to_string(defects) + ":" +
-                        strategyName(strategy),
-                    static_cast<uint64_t>(c.rep)};
-        if (journalLookup(config.journal, key, [&](const JsonValue &v) {
-                // Decode into a local and commit whole: if an older
-                // build's payload misses a field, the JsonError
-                // escapes *before* outcomes[i] is touched and
-                // journalLookup recomputes this cell.
-                outcomes[i] = decodeJournaledCell(v);
-            })) {
-            computed[i] = 1;
-            engine.reportCell(t.spec.name + std::string(":") +
-                                  strategyName(strategy),
-                              defects, c.rep, outcomes[i].accuracy);
-            return;
-        }
-        if (!config.inShard(i))
-            return;
+            // Identical physical defects for every strategy of this
+            // (task, variant, rep): the inject stream has no strategy
+            // coordinate.
+            auto inject = [&](HardwareBackend &accel) {
+                if (defects <= 0)
+                    return;
+                Rng inject_rng = Rng::substream(
+                    config.seed,
+                    {kStreamInject, c.task, c.variant, c.key.rep});
+                DefectInjector injector(accel, config.injectPool,
+                                        config.weighting);
+                injector.inject(defects, inject_rng);
+            };
 
-        MitigationSetup setup{
-            config.array,
-            t.logical,
-            t.ds,
-            retrainHyper(t.hyper, config.retrainScale),
-            t.baseline,
-            config.folds,
-            config.bist,
-            config.backend,
-        };
+            // Keyed by the stable strategy id, not the lineup index:
+            // a strategy's stream (and thus its whole curve) must not
+            // move when the lineup around it is reordered or trimmed.
+            Rng rng = Rng::substream(
+                config.seed, {kStreamCell, c.task, c.variant,
+                              static_cast<uint64_t>(strategy),
+                              c.key.rep});
+            return makeMitigator(strategy)->run(setup, inject, rng);
+        },
+        [&](const CampaignCell &c, const MitigationOutcome &o) {
+            return CellReport{
+                c.key.task + ":" +
+                    strategyName(config.strategies[c.strategy]),
+                config.defectCounts[c.variant],
+                static_cast<int>(c.key.rep), o.accuracy};
+        });
 
-        // Identical physical defects for every strategy of this
-        // (task, variant, rep): the inject stream has no strategy
-        // coordinate.
-        auto inject = [&](HardwareBackend &accel) {
-            if (defects <= 0)
-                return;
-            Rng inject_rng = Rng::substream(
-                config.seed, {kStreamInject, c.task, c.variant,
-                              static_cast<uint64_t>(c.rep)});
-            DefectInjector injector(accel, config.injectPool,
-                                    config.weighting);
-            injector.inject(defects, inject_rng);
-        };
-
-        // Keyed by the stable strategy id, not the lineup index:
-        // a strategy's stream (and thus its whole curve) must not
-        // move when the lineup around it is reordered or trimmed.
-        Rng rng = Rng::substream(
-            config.seed, {kStreamCell, c.task, c.variant,
-                          static_cast<uint64_t>(strategy),
-                          static_cast<uint64_t>(c.rep)});
-        outcomes[i] = makeMitigator(strategy)->run(setup, inject, rng);
-        computed[i] = 1;
-        if (config.journal) {
-            const MitigationOutcome &o = outcomes[i];
-            config.journal->store(
-                key, "{\"accuracy\":" + jsonNumber(o.accuracy) +
-                    ",\"coverage\":" + jsonNumber(o.coverage) +
-                    ",\"diagnosed\":" + std::to_string(o.diagnosed) +
-                    ",\"mitigated_units\":" +
-                    std::to_string(o.mitigatedUnits) +
-                    ",\"sim\":" + o.sim.toJson() + "}");
-        }
-        engine.reportCell(t.spec.name + std::string(":") +
-                              strategyName(strategy),
-                          defects, c.rep, outcomes[i].accuracy);
-    });
-
-    // Deterministic accumulation in cell-index order. Only computed
+    // Deterministic accumulation in cell-index order. Only resolved
     // cells contribute: a shard split can starve a (strategy, defect)
-    // pair entirely, and folding the default-constructed placeholders
-    // in would poison its means (accuracy 0, coverage 1) while
-    // looking like data. A starved point instead reports samples == 0
+    // pair entirely, and a starved point then reports samples == 0
     // with all-zero means (the RunningStat empty contract — no NaN).
     size_t n_var = config.defectCounts.size();
     size_t n_strat = config.strategies.size();
@@ -369,29 +296,30 @@ runMitigationCampaign(const MitigationConfig &config)
     {
         RunningStat accuracy, coverage, mitigated;
     };
-    std::vector<PointStat> stats(specs.size() * n_strat * n_var);
-    std::vector<SimCounters> curveSim(specs.size() * n_strat);
+    std::vector<PointStat> stats(ctx.size() * n_strat * n_var);
+    std::vector<SimCounters> curveSim(ctx.size() * n_strat);
     SimCounters totalSim;
     for (size_t i = 0; i < cells.size(); ++i) {
-        if (!computed[i])
+        if (!outcomes[i])
             continue;
-        const Cell &c = cells[i];
-        PointStat &p = stats[(c.task * n_strat + c.strat) * n_var +
+        const CampaignCell &c = cells[i];
+        const MitigationOutcome &o = *outcomes[i];
+        PointStat &p = stats[(c.task * n_strat + c.strategy) * n_var +
                              c.variant];
-        p.accuracy.add(outcomes[i].accuracy);
-        p.coverage.add(outcomes[i].coverage);
-        p.mitigated.add(outcomes[i].mitigatedUnits);
-        curveSim[c.task * n_strat + c.strat].merge(outcomes[i].sim);
-        totalSim.merge(outcomes[i].sim);
+        p.accuracy.add(o.accuracy);
+        p.coverage.add(o.coverage);
+        p.mitigated.add(o.mitigatedUnits);
+        curveSim[c.task * n_strat + c.strategy].merge(o.sim);
+        totalSim.merge(o.sim);
     }
     logSimCounters("mitigation", totalSim);
 
     std::vector<MitigationCurve> curves;
-    curves.reserve(specs.size() * n_strat);
-    for (size_t t = 0; t < specs.size(); ++t)
+    curves.reserve(ctx.size() * n_strat);
+    for (size_t t = 0; t < ctx.size(); ++t)
         for (size_t s = 0; s < n_strat; ++s) {
             MitigationCurve curve;
-            curve.task = specs[t].name;
+            curve.task = ctx[t]->spec.name;
             curve.strategy = config.strategies[s];
             curve.sim = curveSim[t * n_strat + s];
             curve.cost = mitigationCost(config.strategies[s],

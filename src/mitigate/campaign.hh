@@ -112,6 +112,10 @@ struct MitigationCurve
     std::string toJson() const;
 };
 
+/** Cell table of the mitigation campaign (see fig10Cells()); the
+ *  strategy axis runs inside each defect count. */
+std::vector<CampaignCell> mitigationCells(const MitigationConfig &config);
+
 /**
  * Run the mitigation campaign; curves are ordered task-major, then
  * by the config's strategy order. Bit-identical for any thread

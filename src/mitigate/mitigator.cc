@@ -1,10 +1,12 @@
 #include "mitigate/mitigator.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <tuple>
 
 #include "ann/crossval.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "mitigate/remap.hh"
 #include "mitigate/replicate.hh"
@@ -412,6 +414,30 @@ class ReplicateCriticalMitigator : public Mitigator
 };
 
 } // namespace
+
+std::string
+MitigationOutcome::toJson() const
+{
+    return "{\"accuracy\":" + jsonNumber(accuracy) +
+        ",\"coverage\":" + jsonNumber(coverage) +
+        ",\"diagnosed\":" + std::to_string(diagnosed) +
+        ",\"mitigated_units\":" + std::to_string(mitigatedUnits) +
+        ",\"sim\":" + sim.toJson() + "}";
+}
+
+MitigationOutcome
+MitigationOutcome::fromJson(const JsonValue &v)
+{
+    MitigationOutcome o;
+    o.accuracy = v.at("accuracy").asNumber();
+    o.coverage = v.at("coverage").asNumber();
+    o.diagnosed =
+        static_cast<int>(v.at("diagnosed").asInt(0, INT32_MAX));
+    o.mitigatedUnits =
+        static_cast<int>(v.at("mitigated_units").asInt(0, INT32_MAX));
+    o.sim = SimCounters::fromJson(v.at("sim"));
+    return o;
+}
 
 std::unique_ptr<Mitigator>
 makeMitigator(Strategy s)

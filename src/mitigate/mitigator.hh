@@ -111,6 +111,19 @@ struct MitigationOutcome
     int diagnosed = 0;      ///< suspect units flagged by BIST
     int mitigatedUnits = 0; ///< units bypassed / outputs remapped
     SimCounters sim;        ///< gate-simulation work of this cell
+
+    /** Journal payload of one mitigation cell (single JSON object). */
+    std::string toJson() const;
+
+    /**
+     * Decode a journaled payload. Every result field is required:
+     * a missing one (an older build's journal) throws JsonError and
+     * the cell runner recomputes just that cell, because a default
+     * would silently change the merged export. Unknown extra fields
+     * are ignored; within the sim object, derivable counters
+     * default (SimCounters::fromJson).
+     */
+    static MitigationOutcome fromJson(const class JsonValue &v);
 };
 
 /**

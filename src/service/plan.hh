@@ -3,14 +3,15 @@
  * Spec admission: expand a parsed scenario spec into its cell plan
  * without running anything.
  *
- * planSpec() enumerates exactly the (task, variant, repetitions)
- * groups the campaign runners will schedule — the daemon admits
- * every submitted job through it (rejecting bad specs before they
- * reach the queue, and sizing the job's progress fraction), and
- * `dtann_campaign --validate` prints it as a dry run. Keeping one
- * enumeration path means the daemon's advertised cell count always
- * matches what the runners actually execute (ScenarioResult.cells),
- * which the service tests assert.
+ * planSpec() groups the cell table the campaign runners will
+ * schedule into (task, variant, repetitions) rows. It calls the same
+ * per-kind enumeration the runners do (fig5Cells, fig10Cells, ...),
+ * which also validates task names, so the daemon's advertised cell
+ * count always matches what a run resolves (ScenarioResult.cells),
+ * which the service tests assert. The daemon admits every submitted
+ * job through it (rejecting bad specs before they reach the queue,
+ * and sizing the job's progress fraction), and `dtann_campaign
+ * --validate` prints it as a dry run.
  */
 
 #ifndef DTANN_SERVICE_PLAN_HH
@@ -37,15 +38,12 @@ struct SpecPlan
 {
     size_t cells = 0; ///< total cells (== ScenarioResult.cells)
     std::vector<PlanRow> rows;
-
-    /** {"cells":N,"rows":[{"task":...,"variant":...,"reps":N}...]} */
-    std::string toJson() const;
 };
 
 /**
- * Expand @p spec into its plan. Performs the same validation the
- * runners would (unknown task names etc. throw), so a spec that
- * plans cleanly is admissible.
+ * Expand @p spec into its plan. Runs the same enumeration and
+ * validation as the runners (unknown task names etc. throw
+ * JsonError), so a spec that plans cleanly is admissible.
  */
 SpecPlan planSpec(const ScenarioSpec &spec);
 

@@ -25,6 +25,18 @@ echoJson(const Config &config)
     return echo.toJson();
 }
 
+/** Merge @p results' work into @p r and wrap them in the envelope. */
+template <typename Config, typename Result>
+std::string
+envelope(ScenarioResult &r, const Config &config,
+         const std::vector<Result> &results)
+{
+    for (const Result &res : results)
+        r.sim.merge(res.sim);
+    return campaignEnvelope(r.kind, echoJson(config), config.seed, r.sim,
+                            toJson(results));
+}
+
 } // namespace
 
 ScenarioResult
@@ -34,58 +46,29 @@ runScenario(const ScenarioSpec &spec)
     r.kind = spec.kind;
     r.name = spec.name.empty() ? spec.kind : spec.name;
 
-    std::string results;
+    // The cell runner reports every cell it resolves (computed or
+    // replayed) with a running count; that count is the result's
+    // cell total. The caller's own callback still sees every report.
+    ScenarioSpec run = spec;
+    run.runConfig().onCellDone =
+        [&r, forward = spec.runConfig().onCellDone](const CellReport &c) {
+            r.cells = c.cellsDone;
+            if (forward)
+                forward(c);
+        };
+
     if (spec.kind == "fig5") {
-        // The sweep expander turns the spec axes into independent
-        // per-variant configs; each variant parallelises its
-        // repetitions internally.
-        results = "[";
-        for (const Fig5Config &cell : spec.fig5.expand()) {
-            Fig5Result res = runFig5(cell);
-            r.sim.merge(res.sim);
-            r.cells += static_cast<size_t>(res.repetitions);
-            if (results.size() > 1)
-                results += ",";
-            results += res.toJson();
-            r.fig5.push_back(std::move(res));
-        }
-        results += "]";
-        r.json = campaignEnvelope(r.kind, echoJson(spec.fig5),
-                                  spec.fig5.seed, r.sim, results);
+        r.fig5 = runFig5(run.fig5.expand());
+        r.json = envelope(r, spec.fig5, r.fig5);
     } else if (spec.kind == "fig10") {
-        r.fig10 = runFig10(spec.fig10);
-        for (const Fig10Curve &c : r.fig10) {
-            r.sim.merge(c.sim);
-            for (const Fig10Point &p : c.points)
-                r.cells += p.defects == 0
-                    ? 1
-                    : static_cast<size_t>(spec.fig10.repetitions);
-        }
-        r.json = campaignEnvelope(r.kind, echoJson(spec.fig10),
-                                  spec.fig10.seed, r.sim,
-                                  toJson(r.fig10));
+        r.fig10 = runFig10(run.fig10);
+        r.json = envelope(r, spec.fig10, r.fig10);
     } else if (spec.kind == "fig11") {
-        r.fig11 = runFig11(spec.fig11);
-        for (const Fig11Curve &c : r.fig11) {
-            r.sim.merge(c.sim);
-            r.cells += c.samples.size();
-        }
-        r.json = campaignEnvelope(r.kind, echoJson(spec.fig11),
-                                  spec.fig11.seed, r.sim,
-                                  toJson(r.fig11));
+        r.fig11 = runFig11(run.fig11);
+        r.json = envelope(r, spec.fig11, r.fig11);
     } else {
-        r.mitigation = runMitigationCampaign(spec.mitigation);
-        for (const MitigationCurve &c : r.mitigation) {
-            r.sim.merge(c.sim);
-            for (const MitigationPoint &p : c.points)
-                r.cells += p.defects == 0
-                    ? 1
-                    : static_cast<size_t>(
-                          spec.mitigation.repetitions);
-        }
-        r.json = campaignEnvelope(r.kind, echoJson(spec.mitigation),
-                                  spec.mitigation.seed, r.sim,
-                                  toJson(r.mitigation));
+        r.mitigation = runMitigationCampaign(run.mitigation);
+        r.json = envelope(r, spec.mitigation, r.mitigation);
     }
     return r;
 }

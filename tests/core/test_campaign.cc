@@ -26,7 +26,7 @@ fig5Config(Fig5Operator op, int defects, int repetitions, uint64_t seed)
 TEST(Fig5, CleanDistributionIsExactConvolution)
 {
     Fig5Result r =
-        runFig5(fig5Config(Fig5Operator::Adder4, 1, 2, 1));
+        runFig5({fig5Config(Fig5Operator::Adder4, 1, 2, 1)}).front();
     // Each repetition covers all 256 pairs: value v occurs
     // #\{(a,b): a+b=v\} times per repetition.
     EXPECT_EQ(r.none.total(), 512u);
@@ -40,7 +40,7 @@ TEST(Fig5, OneDefectBarelyMovesTransistorDistribution)
     // Paper: "For 1 defect, the behavior of the 4-bit adder is
     // barely affected."
     Fig5Result r =
-        runFig5(fig5Config(Fig5Operator::Adder4, 1, 40, 2));
+        runFig5({fig5Config(Fig5Operator::Adder4, 1, 40, 2)}).front();
     EXPECT_LT(r.trans.totalVariation(r.none), 0.10);
 }
 
@@ -50,7 +50,7 @@ TEST(Fig5, TwentyDefectsDivergeAndGateModelIsWorse)
     // distribution, and the transistor-level profile stays closer
     // to the error-free profile than the gate-level one.
     Fig5Result r =
-        runFig5(fig5Config(Fig5Operator::Adder4, 20, 60, 3));
+        runFig5({fig5Config(Fig5Operator::Adder4, 20, 60, 3)}).front();
     double tv_trans = r.trans.totalVariation(r.none);
     double tv_gate = r.gate.totalVariation(r.none);
     EXPECT_GT(tv_trans, 0.05);
@@ -61,7 +61,7 @@ TEST(Fig5, TwentyDefectsDivergeAndGateModelIsWorse)
 TEST(Fig5, MultiplierConfigurationRuns)
 {
     Fig5Result r =
-        runFig5(fig5Config(Fig5Operator::Multiplier4, 20, 10, 4));
+        runFig5({fig5Config(Fig5Operator::Multiplier4, 20, 10, 4)}).front();
     EXPECT_EQ(r.none.total(), 2560u);
     EXPECT_EQ(r.none.at(225), 10u); // 15*15 only
     EXPECT_GT(r.trans.total(), 0u);
@@ -74,11 +74,11 @@ TEST(Fig5, BatchAndConePathsAreBitIdenticalToScalar)
     // the scalar relaxation results exactly: force the slow paths
     // via the env knobs and compare whole histograms.
     Fig5Config cfg = fig5Config(Fig5Operator::Adder4, 3, 30, 9);
-    Fig5Result fast = runFig5(cfg);
+    Fig5Result fast = runFig5({cfg}).front();
 
     setenv("DTANN_NO_BATCH", "1", 1);
     setenv("DTANN_NO_CONE", "1", 1);
-    Fig5Result slow = runFig5(cfg);
+    Fig5Result slow = runFig5({cfg}).front();
     unsetenv("DTANN_NO_BATCH");
     unsetenv("DTANN_NO_CONE");
 
@@ -101,7 +101,7 @@ TEST(Fig5, ResultsBitIdenticalAcrossLaneWidths)
             setenv("DTANN_LANES", lanes, 1);
         else
             unsetenv("DTANN_LANES");
-        Fig5Result r = runFig5(cfg);
+        Fig5Result r = runFig5({cfg}).front();
         unsetenv("DTANN_LANES");
         return r;
     };

@@ -108,9 +108,9 @@ TEST(EngineDeterminism, Fig5IdenticalAcrossThreadCounts)
     cfg.seed = 5;
 
     cfg.threads = 1;
-    Fig5Result serial = runFig5(cfg);
+    Fig5Result serial = runFig5({cfg}).front();
     cfg.threads = 4;
-    Fig5Result parallel = runFig5(cfg);
+    Fig5Result parallel = runFig5({cfg}).front();
 
     EXPECT_EQ(serial.none.items(), parallel.none.items());
     EXPECT_EQ(serial.gate.items(), parallel.gate.items());

@@ -49,7 +49,7 @@ TEST(EdgeCases, Fig5MirrorStyleKeepsOrdering)
     cfg.repetitions = 40;
     cfg.seed = 9;
     cfg.style = FaStyle::Mirror;
-    Fig5Result r = runFig5(cfg);
+    Fig5Result r = runFig5({cfg}).front();
     EXPECT_GT(r.gate.totalVariation(r.none),
               r.trans.totalVariation(r.none));
 }

@@ -138,10 +138,10 @@ TEST(EndToEnd, Fig5DeterministicAndSeedSensitive)
     cfg.defects = 5;
     cfg.repetitions = 10;
     cfg.seed = 5;
-    Fig5Result a = runFig5(cfg);
-    Fig5Result b = runFig5(cfg);
+    Fig5Result a = runFig5({cfg}).front();
+    Fig5Result b = runFig5({cfg}).front();
     cfg.seed = 6;
-    Fig5Result c = runFig5(cfg);
+    Fig5Result c = runFig5({cfg}).front();
     EXPECT_EQ(a.trans.items(), b.trans.items());
     EXPECT_EQ(a.gate.items(), b.gate.items());
     EXPECT_NE(a.trans.items(), c.trans.items());

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "service/journal.hh"
+#include "service/plan.hh"
 #include "service/runner.hh"
 
 namespace dtann {
@@ -109,6 +110,24 @@ tinyMitigation()
     spec.mitigation.bist.vectorsPerUnit = 4;
     spec.mitigation.seed = 13;
     spec.mitigation.threads = 2;
+    return spec;
+}
+
+/** Single output-layer defects; the only kind with a free-form
+ *  string field (the site) in its payload. */
+ScenarioSpec
+tinyFig11()
+{
+    ScenarioSpec spec;
+    spec.kind = spec.name = "fig11";
+    spec.fig11.tasks = {"iris"};
+    spec.fig11.repetitions = 3;
+    spec.fig11.folds = 2;
+    spec.fig11.rows = 90;
+    spec.fig11.epochScale = 0.1;
+    spec.fig11.retrainScale = 0.2;
+    spec.fig11.seed = 17;
+    spec.fig11.threads = 2;
     return spec;
 }
 
@@ -241,14 +260,55 @@ TEST_P(ResumeBitIdentity, DeadShardCellsAreRecomputedOnReplay)
     std::remove(merged.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Campaigns, ResumeBitIdentity,
-    testing::Values(TinyCampaign{"fig10", &tinyFig10},
-                    TinyCampaign{"fig5", &tinyFig5},
-                    TinyCampaign{"mitigation", &tinyMitigation}),
-    [](const testing::TestParamInfo<TinyCampaign> &info) {
-        return std::string(info.param.kind);
-    });
+const TinyCampaign kTinyCampaigns[] = {
+    {"fig10", &tinyFig10},
+    {"fig5", &tinyFig5},
+    {"mitigation", &tinyMitigation},
+    {"fig11", &tinyFig11},
+};
+
+std::string
+tinyCampaignName(const testing::TestParamInfo<TinyCampaign> &info)
+{
+    return info.param.kind;
+}
+
+INSTANTIATE_TEST_SUITE_P(Campaigns, ResumeBitIdentity,
+                         testing::ValuesIn(kTinyCampaigns),
+                         tinyCampaignName);
+
+class CellCount : public testing::TestWithParam<TinyCampaign>
+{
+};
+
+TEST_P(CellCount, PlanRunAndProgressAgree)
+{
+    // One count, seen four ways: the admission plan, the runner's
+    // resolved cells, and the progress stream (calls, last cellsDone,
+    // cellsTotal). A fig5 sweep is one table, so its progress runs
+    // once from 1 to the sweep's total instead of restarting per
+    // variant.
+    ScenarioSpec spec = GetParam().make();
+    size_t calls = 0, lastDone = 0, total = 0;
+    bool stepwise = true;
+    spec.runConfig().onCellDone = [&](const CellReport &r) {
+        // The engine serializes callbacks, so plain counters are safe.
+        ++calls;
+        stepwise = stepwise && r.cellsDone == lastDone + 1;
+        lastDone = r.cellsDone;
+        total = r.cellsTotal;
+    };
+    size_t planned = planSpec(spec).cells;
+    EXPECT_EQ(runScenario(spec).cells, planned);
+    EXPECT_EQ(calls, planned);
+    EXPECT_EQ(lastDone, planned);
+    EXPECT_EQ(total, planned);
+    EXPECT_TRUE(stepwise) << "cellsDone must increase by 1 per report";
+}
+
+INSTANTIATE_TEST_SUITE_P(Campaigns, CellCount,
+                         testing::ValuesIn(kTinyCampaigns),
+                         tinyCampaignName);
 
 TEST(Resume, CorruptPayloadRecomputesBitIdentically)
 {
