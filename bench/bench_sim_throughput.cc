@@ -531,6 +531,34 @@ BM_TrainStepFaulty(benchmark::State &state)
 }
 BENCHMARK(BM_TrainStepFaulty)->Arg(0)->Arg(1);
 
+void
+BM_SetWeights(benchmark::State &state)
+{
+    // One weight load (the DMA write path every online row step of
+    // retraining pays) of a wine-shaped 13-4-3 task onto the paper's
+    // 90-10-10 array. One latch in the logical corner carries seeded
+    // defects, so every load also runs one gate-level latch
+    // simulation. Arg 0 spatial, Arg 1 systolic.
+    MlpTopology topo{13, 4, 3};
+    auto accel = makeBackend(
+        state.range(0) ? BackendKind::Systolic : BackendKind::Spatial,
+        AcceleratorConfig(), topo);
+    Rng rng(43);
+    accel->injectDefects({UnitKind::WeightLatch, Layer::Hidden, 2, 5}, 4,
+                         rng);
+    MlpWeights w(topo);
+    Rng wr(7);
+    w.initRandom(wr, 1.2);
+    for (auto _ : state) {
+        accel->setWeights(w);
+        benchmark::ClobberMemory();
+    }
+    state.counters["loads/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SetWeights)->Arg(0)->Arg(1);
+
 } // namespace
 
 #ifndef DTANN_BUILD_TYPE

@@ -40,28 +40,14 @@ void
 SpatialBackend::loadPhysicalHiddenRow(int phys_neuron,
                                       std::span<const Fix16> weights)
 {
-    dtann_assert(phys_neuron >= 0 && phys_neuron < cfg.hidden,
-                 "physical neuron index out of range");
-    dtann_assert(static_cast<int>(weights.size()) == cfg.inputs + 1,
-                 "weight row arity mismatch");
-    Fix16 *row = weightRow(Layer::Hidden, phys_neuron);
-    for (int i = 0; i <= cfg.inputs; ++i)
-        row[i] = unitLatchStore(Layer::Hidden, phys_neuron, i,
-                                weights[static_cast<size_t>(i)]);
+    storeRow(Layer::Hidden, phys_neuron, weights);
 }
 
 void
 SpatialBackend::loadPhysicalOutputRow(int phys_neuron,
                                       std::span<const Fix16> weights)
 {
-    dtann_assert(phys_neuron >= 0 && phys_neuron < cfg.outputs,
-                 "physical neuron index out of range");
-    dtann_assert(static_cast<int>(weights.size()) == cfg.hidden + 1,
-                 "weight row arity mismatch");
-    Fix16 *row = weightRow(Layer::Output, phys_neuron);
-    for (int j = 0; j <= cfg.hidden; ++j)
-        row[j] = unitLatchStore(Layer::Output, phys_neuron, j,
-                                weights[static_cast<size_t>(j)]);
+    storeRow(Layer::Output, phys_neuron, weights);
 }
 
 void

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <tuple>
@@ -185,17 +186,26 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
       latchNl(std::make_shared<Netlist>(buildLatchRegister(16))),
       actNl(std::make_shared<Netlist>(
           buildSigmoidUnit(logisticPwlTable(), config.faStyle))),
-      hidW(static_cast<size_t>(config.hidden) *
-           static_cast<size_t>(config.inputs + 1)),
-      outW(static_cast<size_t>(config.outputs) *
-           static_cast<size_t>(config.hidden + 1)),
       hiddenAct(static_cast<size_t>(config.hidden)),
       hidSums(static_cast<size_t>(config.hidden)),
       unitFlags(4 * 2 *
                 static_cast<size_t>(std::max(config.hidden,
                                              config.outputs)) *
                 static_cast<size_t>(std::max(config.inputs,
-                                             config.hidden) + 1))
+                                             config.hidden) + 1)),
+      hidW(static_cast<size_t>(config.hidden) *
+           static_cast<size_t>(config.inputs + 1)),
+      outW(static_cast<size_t>(config.outputs) *
+           static_cast<size_t>(config.hidden + 1)),
+      maskWords(static_cast<size_t>(
+                    std::max(config.inputs, config.hidden) + 64) / 64),
+      nonzeroMask(2 *
+                  static_cast<size_t>(std::max(config.hidden,
+                                               config.outputs)) *
+                  maskWords),
+      busyLatchMask(nonzeroMask.size()),
+      busyChainMask(nonzeroMask.size()),
+      cornerMask(2 * maskWords)
 {
     dtann_assert(logical.inputs <= cfg.inputs &&
                      logical.hidden <= cfg.hidden &&
@@ -204,6 +214,18 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
                  "array (use the time-multiplexed wrapper)",
                  logical.inputs, logical.hidden, logical.outputs,
                  cfg.inputs, cfg.hidden, cfg.outputs);
+    // A used row's logical weights sit at synapses [0, used fan-in)
+    // and its bias at the physical fan-in.
+    for (Layer pass : {Layer::Hidden, Layer::Output}) {
+        bool hid = pass == Layer::Hidden;
+        int used_fanin = hid ? logical.inputs : logical.hidden;
+        int fanin = hid ? cfg.inputs : cfg.hidden;
+        uint64_t *corner =
+            &cornerMask[static_cast<size_t>(pass) * maskWords];
+        for (int i = 0; i <= fanin; ++i)
+            if (i < used_fanin || i == fanin)
+                corner[i / 64] |= 1ull << (i % 64);
+    }
 }
 
 HardwareBackend::~HardwareBackend() = default;
@@ -248,6 +270,57 @@ HardwareBackend::flagIndex(const UnitSite &site) const
         static_cast<size_t>(site.index);
 }
 
+size_t
+HardwareBackend::maskRow(Layer pass, int neuron) const
+{
+    size_t neurons =
+        static_cast<size_t>(std::max(cfg.hidden, cfg.outputs));
+    return (static_cast<size_t>(pass) * neurons +
+            static_cast<size_t>(neuron)) * maskWords;
+}
+
+void
+HardwareBackend::markBusy(const UnitSite &pass)
+{
+    bool hid = pass.layer == Layer::Hidden;
+    if (pass.neuron >= (hid ? cfg.hidden : cfg.outputs))
+        return; // no row of this pass
+    std::vector<uint64_t> *mask = &busyChainMask;
+    int i = pass.index;
+    switch (pass.kind) {
+      case UnitKind::WeightLatch:
+        mask = &busyLatchMask;
+        break;
+      case UnitKind::Multiplier:
+        break;
+      case UnitKind::AdderStage:
+        ++i; // stage i - 1 folds synapse i into the chain
+        break;
+      case UnitKind::Activation:
+        return;
+    }
+    if (i > (hid ? cfg.inputs : cfg.hidden))
+        return;
+    (*mask)[maskRow(pass.layer, pass.neuron) + static_cast<size_t>(i / 64)] |=
+        1ull << (i % 64);
+}
+
+void
+HardwareBackend::rebuildBusyMasks()
+{
+    std::fill(busyLatchMask.begin(), busyLatchMask.end(), 0);
+    std::fill(busyChainMask.begin(), busyChainMask.end(), 0);
+    int neurons = std::max(cfg.hidden, cfg.outputs);
+    int stride = std::max(cfg.inputs, cfg.hidden) + 1;
+    for (UnitKind kind : {UnitKind::WeightLatch, UnitKind::Multiplier,
+                          UnitKind::AdderStage})
+        for (Layer layer : {Layer::Hidden, Layer::Output})
+            for (int n = 0; n < neurons; ++n)
+                for (int i = 0; i < stride; ++i)
+                    if (unitFlags[flagIndex({kind, layer, n, i})])
+                        markBusy({kind, layer, n, i});
+}
+
 void
 HardwareBackend::markUnit(const UnitSite &phys, uint8_t bit)
 {
@@ -259,8 +332,10 @@ HardwareBackend::markUnit(const UnitSite &phys, uint8_t bit)
         for (int n = 0; n < neurons; ++n)
             for (int i = 0; i < stride; ++i) {
                 UnitSite pass{phys.kind, layer, n, i};
-                if (physicalSite(pass) == phys)
+                if (physicalSite(pass) == phys) {
                     unitFlags[flagIndex(pass)] |= bit;
+                    markBusy(pass);
+                }
             }
 }
 
@@ -269,13 +344,7 @@ HardwareBackend::unmarkAll(uint8_t bit)
 {
     for (uint8_t &f : unitFlags)
         f &= static_cast<uint8_t>(~bit);
-}
-
-bool
-HardwareBackend::plainUnit(UnitKind kind, Layer layer, int neuron,
-                           int index) const
-{
-    return unitFlags[flagIndex({kind, layer, neuron, index})] == 0;
+    rebuildBusyMasks();
 }
 
 std::vector<InjectionRecord>
@@ -652,14 +721,43 @@ HardwareBackend::unitActLanes(Layer layer, int neuron, const Fix16 *x,
     }
 }
 
-Fix16 *
-HardwareBackend::weightRow(Layer pass, int neuron)
+const Fix16 *
+HardwareBackend::weightRow(Layer pass, int neuron) const
 {
     return pass == Layer::Hidden
         ? &hidW[static_cast<size_t>(neuron) *
                 static_cast<size_t>(cfg.inputs + 1)]
         : &outW[static_cast<size_t>(neuron) *
                 static_cast<size_t>(cfg.hidden + 1)];
+}
+
+void
+HardwareBackend::storeWeight(Layer pass, int neuron, int synapse,
+                             Fix16 d)
+{
+    Fix16 stored = unitLatchStore(pass, neuron, synapse, d);
+    bool hid = pass == Layer::Hidden;
+    size_t stride = static_cast<size_t>((hid ? cfg.inputs : cfg.hidden) + 1);
+    (hid ? hidW : outW)[static_cast<size_t>(neuron) * stride +
+                        static_cast<size_t>(synapse)] = stored;
+    uint64_t &word = nonzeroMask[maskRow(pass, neuron) +
+                                 static_cast<size_t>(synapse / 64)];
+    uint64_t bit = 1ull << (synapse % 64);
+    word = stored.raw() != 0 ? word | bit : word & ~bit;
+}
+
+void
+HardwareBackend::storeRow(Layer pass, int neuron,
+                          std::span<const Fix16> weights)
+{
+    bool hid = pass == Layer::Hidden;
+    int fanin = hid ? cfg.inputs : cfg.hidden;
+    dtann_assert(neuron >= 0 && neuron < (hid ? cfg.hidden : cfg.outputs),
+                 "physical neuron index out of range");
+    dtann_assert(static_cast<int>(weights.size()) == fanin + 1,
+                 "weight row arity mismatch");
+    for (int i = 0; i <= fanin; ++i)
+        storeWeight(pass, neuron, i, weights[static_cast<size_t>(i)]);
 }
 
 void
@@ -672,21 +770,59 @@ HardwareBackend::setWeights(const MlpWeights &w)
         int fanin = hid ? cfg.inputs : cfg.hidden;
         int used_neurons = hid ? logical.hidden : logical.outputs;
         int used_fanin = hid ? logical.inputs : logical.hidden;
+        const uint64_t *corner =
+            &cornerMask[static_cast<size_t>(pass) * maskWords];
         for (int n = 0; n < neurons; ++n) {
-            Fix16 *row = weightRow(pass, n);
-            for (int i = 0; i <= fanin; ++i) {
-                // Bias synapse last, at both the logical and the
-                // physical fan-in.
-                int li = i < used_fanin ? i
-                    : i == fanin        ? used_fanin
-                                        : -1;
-                double v = 0.0;
-                if (n < used_neurons && li >= 0)
-                    v = hid ? w.hid(n, li) : w.out(n, li);
-                row[i] = unitLatchStore(pass, n, i, Fix16::fromDouble(v));
+            // Write the logical corner, every faulty or bypassed
+            // latch, and every latch holding a nonzero value. Any
+            // other latch is plain and already stores the 0 it would
+            // be written, so skipping it changes nothing.
+            size_t row = maskRow(pass, n);
+            for (size_t wd = 0; wd < maskWords; ++wd) {
+                uint64_t bits = busyLatchMask[row + wd] |
+                    nonzeroMask[row + wd] |
+                    (n < used_neurons ? corner[wd] : 0);
+                for (; bits != 0; bits &= bits - 1) {
+                    int i = static_cast<int>(wd * 64) +
+                        std::countr_zero(bits);
+                    // Bias synapse last, at both the logical and the
+                    // physical fan-in.
+                    int li = i < used_fanin ? i
+                        : i == fanin        ? used_fanin
+                                            : -1;
+                    double v = 0.0;
+                    if (n < used_neurons && li >= 0)
+                        v = hid ? w.hid(n, li) : w.out(n, li);
+                    storeWeight(pass, n, i, Fix16::fromDouble(v));
+                }
             }
         }
     }
+}
+
+template <class F>
+void
+HardwareBackend::forEachLiveSynapse(Layer pass, int neuron, F &&f) const
+{
+    // A skipped synapse stores 0 and runs through a plain multiplier
+    // and a plain adder stage: hwMul(0, x) = 0 and hwAdd(acc, 0) =
+    // acc, with no simulation, probe or counter touched.
+    size_t row = maskRow(pass, neuron);
+    for (size_t wd = 0; wd < maskWords; ++wd) {
+        uint64_t bits = nonzeroMask[row + wd] | busyChainMask[row + wd];
+        if (wd == 0)
+            bits &= ~1ull; // synapse 0 opens the chain
+        for (; bits != 0; bits &= bits - 1)
+            f(static_cast<int>(wd * 64) + std::countr_zero(bits));
+    }
+}
+
+std::vector<int>
+HardwareBackend::liveSynapses(Layer pass, int neuron) const
+{
+    std::vector<int> live;
+    forEachLiveSynapse(pass, neuron, [&](int i) { live.push_back(i); });
+    return live;
 }
 
 void
@@ -702,17 +838,11 @@ HardwareBackend::forwardLayer(Layer pass, std::span<const Fix16> in,
         const Fix16 *weights = weightRow(pass, n);
         Acc24 acc = Acc24::fromFix16(
             unitMul(pass, n, 0, weights[0], in[0]));
-        for (int i = 1; i <= fanin; ++i) {
-            // A zero weight through plain units adds nothing:
-            // hwMul(0, x) = 0 and hwAdd(acc, 0) = acc.
-            if (weights[i].raw() == 0 &&
-                plainUnit(UnitKind::Multiplier, pass, n, i) &&
-                plainUnit(UnitKind::AdderStage, pass, n, i - 1))
-                continue;
+        forEachLiveSynapse(pass, n, [&](int i) {
             Fix16 x = i < fanin ? in[static_cast<size_t>(i)] : one;
             Fix16 p = unitMul(pass, n, i, weights[i], x);
             acc = unitAdd(pass, n, i - 1, acc, Acc24::fromFix16(p));
-        }
+        });
         if (pass == Layer::Hidden)
             hidSums[static_cast<size_t>(n)] = acc;
         // The clamp sits after the activation unit on the datapath
@@ -744,12 +874,7 @@ HardwareBackend::forwardLayerLanes(Layer pass,
         unitMulLanes(pass, n, 0, weights[0], x.data(), p.data(), lanes);
         for (size_t l = 0; l < lanes; ++l)
             acc[l] = Acc24::fromFix16(p[l]);
-        for (int i = 1; i <= fanin; ++i) {
-            // The same zero-weight elision as forwardLayer().
-            if (weights[i].raw() == 0 &&
-                plainUnit(UnitKind::Multiplier, pass, n, i) &&
-                plainUnit(UnitKind::AdderStage, pass, n, i - 1))
-                continue;
+        forEachLiveSynapse(pass, n, [&](int i) {
             for (size_t l = 0; l < lanes; ++l)
                 x[l] = i < fanin ? in[l][i] : one;
             unitMulLanes(pass, n, i, weights[i], x.data(), p.data(),
@@ -758,7 +883,7 @@ HardwareBackend::forwardLayerLanes(Layer pass,
                 addend[l] = Acc24::fromFix16(p[l]);
             unitAddLanes(pass, n, i - 1, acc.data(), addend.data(),
                          lanes);
-        }
+        });
         // Mirror the scalar loop: the readable output latches hold
         // the last processed row's sums. The per-lane sums feed the
         // time-multiplexed batch path's key-logic accumulation.

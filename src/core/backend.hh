@@ -195,7 +195,9 @@ class HardwareBackend : public ForwardModel
      * Quantize logical weights and store them through the (possibly
      * faulty) weight latches — the DMA write path. Logical weights
      * land in the top-left corner of each pass (bias synapse last);
-     * every other synapse stores 0.
+     * every other synapse stores 0. Only latches that can change are
+     * written: the corner, faulty or bypassed latches, and latches
+     * that hold a nonzero value.
      */
     void setWeights(const MlpWeights &w) override;
 
@@ -217,6 +219,14 @@ class HardwareBackend : public ForwardModel
 
     /** Pre-activation sums of the last hidden-pass run. */
     const std::vector<Acc24> &hiddenSums() const { return hidSums; }
+
+    /**
+     * Synapses i >= 1 of (@p pass, @p neuron) that both neuron
+     * chains evaluate, ascending: every nonzero stored weight and
+     * every position whose multiplier or adder stage i - 1 is faulty
+     * or bypassed. Synapse 0 opens the chain and is always run.
+     */
+    std::vector<int> liveSynapses(Layer pass, int neuron) const;
 
     /**
      * True when every faulty unit's simulation is a pure function
@@ -357,16 +367,11 @@ class HardwareBackend : public ForwardModel
     OperatorSim *simFor(const UnitSite &site);
 
     /**
-     * True when the unit executing pass operation (kind, layer,
-     * neuron, index) neither hosts defects nor is bypassed, so it
-     * computes native fixed-point arithmetic.
+     * Store a full physical weight row of @p neuron of @p pass
+     * (fan-in + 1 values, bias last) through its latches, in synapse
+     * order.
      */
-    bool plainUnit(UnitKind kind, Layer layer, int neuron,
-                   int index) const;
-
-    /** Stored (post-latch) weights of one neuron of @p pass, bias
-     *  last. */
-    Fix16 *weightRow(Layer pass, int neuron);
+    void storeRow(Layer pass, int neuron, std::span<const Fix16> weights);
 
     /** Run one pass (scalar schedule). */
     void forwardLayer(Layer pass, std::span<const Fix16> in,
@@ -417,10 +422,6 @@ class HardwareBackend : public ForwardModel
     std::map<UnitSite, DeviationProbe> probes;
     DeviationProbe cleanProbe; // returned for clean sites
 
-    /** Stored physical weights (post-latch values), per pass. */
-    std::vector<Fix16> hidW; // [hidden][inputs+1]
-    std::vector<Fix16> outW; // [outputs][hidden+1]
-
     /** Hidden-activation scratch of the per-row paths (forward(),
      *  runHiddenLayer(), forwardFix()); each writes it first. */
     std::vector<Fix16> hiddenAct;
@@ -444,10 +445,55 @@ class HardwareBackend : public ForwardModel
 
     /** unitFlags slot of a pass address. */
     size_t flagIndex(const UnitSite &site) const;
-    /** Set @p bit on every pass address that folds onto @p phys. */
+    /** Set @p bit on every pass address that folds onto @p phys,
+     *  and their busy-mask bits. */
     void markUnit(const UnitSite &phys, uint8_t bit);
-    /** Clear @p bit everywhere. */
+    /** Clear @p bit everywhere and rebuild the busy masks. */
     void unmarkAll(uint8_t bit);
+
+    /** Stored physical weights (post-latch values), per pass. */
+    std::vector<Fix16> hidW; // [hidden][inputs+1]
+    std::vector<Fix16> outW; // [outputs][hidden+1]
+
+    /** Stored (post-latch) weights of one neuron of @p pass, bias
+     *  last. */
+    const Fix16 *weightRow(Layer pass, int neuron) const;
+
+    /**
+     * Per-row synapse bitmasks, [pass][neuron][word] with maskWords
+     * 64-bit words per row (bit i = synapse i):
+     *  - nonzeroMask: the stored weight at i is nonzero; kept by
+     *    storeWeight(), the only writer of hidW/outW;
+     *  - busyLatchMask: latch i is faulty or bypassed;
+     *  - busyChainMask: multiplier i or adder stage i - 1 is faulty
+     *    or bypassed.
+     * markUnit() sets the busy bits of the addresses it marks;
+     * unmarkAll() rebuilds both busy masks from unitFlags.
+     */
+    size_t maskWords;
+    std::vector<uint64_t> nonzeroMask;
+    std::vector<uint64_t> busyLatchMask;
+    std::vector<uint64_t> busyChainMask;
+    /** Logical corner of a used row, [pass][word]. */
+    std::vector<uint64_t> cornerMask;
+
+    /** Offset of (pass, neuron)'s first word in the row masks. */
+    size_t maskRow(Layer pass, int neuron) const;
+    /** Set the busy-mask bit a faulty or bypassed unit at pass
+     *  address @p pass makes (none for activations). */
+    void markBusy(const UnitSite &pass);
+    /** Recompute busyLatchMask/busyChainMask from unitFlags. */
+    void rebuildBusyMasks();
+
+    /**
+     * The latch-write primitive: store @p d through latch
+     * (pass, neuron, synapse) and keep the row's nonzero bit.
+     */
+    void storeWeight(Layer pass, int neuron, int synapse, Fix16 d);
+
+    /** Call @p f(i) for each liveSynapses() position, ascending. */
+    template <class F>
+    void forEachLiveSynapse(Layer pass, int neuron, F &&f) const;
 };
 
 /**
