@@ -414,7 +414,7 @@ BM_AcceleratorForwardFaulty(benchmark::State &state)
     // The plain-Accelerator sweep: the per-vector cost baseline the
     // wrapper batch paths are held to (within 2x).
     auto accel = pureFaultyArray({12, 4, 3}, 21);
-    MlpWeights w({12, 4, 3});
+    DeepWeights w({12, 4, 3});
     Rng wr(7);
     w.initRandom(wr, 1.2);
     accel->setWeights(w);
@@ -429,7 +429,7 @@ BM_TimeMuxForwardFaulty(benchmark::State &state)
     // per-pass weight-reload overhead against the plain sweep.
     auto accel = pureFaultyArray({12, 4, 3}, 21);
     TimeMuxedMlp mux(*accel, {12, 4, 3});
-    MlpWeights w({12, 4, 3});
+    DeepWeights w({12, 4, 3});
     Rng wr(7);
     w.initRandom(wr, 1.2);
     mux.setWeights(w);
@@ -444,7 +444,7 @@ BM_TimeMuxForwardFaultyMuxed(benchmark::State &state)
     // campaign shape where batching pays the most.
     auto accel = pureFaultyArray({12, 4, 3}, 21);
     TimeMuxedMlp mux(*accel, {12, 12, 3});
-    MlpWeights w({12, 12, 3});
+    DeepWeights w({12, 12, 3});
     Rng wr(7);
     w.initRandom(wr, 1.2);
     mux.setWeights(w);
@@ -469,7 +469,7 @@ BM_SpareForwardFaulty(benchmark::State &state)
         inj.inject(1, rng);
     } while (!accel->batchPure());
     SparedOutputMlp spared(*accel, logical, 3);
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng wr(7);
     w.initRandom(wr, 1.2);
     spared.setWeights(w);
@@ -487,7 +487,7 @@ BM_DeepMuxForwardFaulty(benchmark::State &state)
     DeepWeights w(topo);
     Rng wr(7);
     w.initRandom(wr, 1.0);
-    deep.setLayerWeights(w);
+    deep.setWeights(w);
     sweepModel(state, deep, sweepRows(12, 8));
 }
 BENCHMARK(BM_DeepMuxForwardFaulty)->Arg(0)->Arg(1);
@@ -517,12 +517,12 @@ BM_TrainStepFaulty(benchmark::State &state)
     rows.rows = sweepRows(topo.inputs, 9);
     rows.rows.resize(8);
     rows.labels = {0, 1, 2, 0, 1, 2, 0, 1};
-    MlpWeights init(topo);
+    DeepWeights init(topo);
     Rng wr(7);
     init.initRandom(wr, 1.2);
     Trainer trainer(Hyper{topo.hidden, 1, 0.1, 0.1});
     for (auto _ : state) {
-        MlpWeights w = trainer.train(*accel, rows, rng, &init);
+        DeepWeights w = trainer.train(*accel, rows, rng, &init);
         benchmark::DoNotOptimize(w);
     }
     state.counters["rows/s"] = benchmark::Counter(
@@ -546,7 +546,7 @@ BM_SetWeights(benchmark::State &state)
     Rng rng(43);
     accel->injectDefects({UnitKind::WeightLatch, Layer::Hidden, 2, 5}, 4,
                          rng);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng wr(7);
     w.initRandom(wr, 1.2);
     for (auto _ : state) {

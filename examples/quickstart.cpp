@@ -30,16 +30,18 @@ main()
                 ds.numClasses);
 
     // 2. The physical array: the paper's 90-10-10 spatially
-    //    expanded accelerator. The logical 4-8-3 task network is
+    //    expanded accelerator. The logical 90-6-5 task network is
     //    mapped onto its top-left corner.
     AcceleratorConfig cfg; // 90 inputs, 10 hidden, 10 outputs
     MlpTopology logical{90, 6, 5};
     Accelerator accel(cfg, logical);
 
     // 3. Off-line training on a companion core, forward passes
-    //    through the (bit-exact fixed-point) hardware.
+    //    through the (bit-exact fixed-point) hardware. The returned
+    //    DeepWeights is the network's 2-stage weight stack; every
+    //    training step installs it straight into the latches.
     Trainer trainer({6, 120, 0.2, 0.1});
-    MlpWeights weights = trainer.train(accel, ds, rng);
+    DeepWeights weights = trainer.train(accel, ds, rng);
     std::printf("clean accuracy      : %.3f\n",
                 evalAccuracy(accel, ds));
 

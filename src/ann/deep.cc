@@ -13,7 +13,7 @@ FloatDeepMlp::topology() const
 }
 
 void
-FloatDeepMlp::setLayerWeights(const DeepWeights &w)
+FloatDeepMlp::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == topo, "weight topology mismatch");
     weights = w;

@@ -31,7 +31,7 @@ class FloatDeepMlp : public ForwardModel
     /** 2-layer view: {inputs, last hidden width, outputs}. */
     MlpTopology topology() const override;
     DeepTopology layerTopology() const override { return topo; }
-    void setLayerWeights(const DeepWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
     Activations forward(std::span<const double> input) override;
     std::vector<Activations> forwardBatch(
         std::span<const std::vector<double>> inputs) override

@@ -16,21 +16,14 @@ FixedMlp::FixedMlp(MlpTopology t)
 }
 
 void
-FixedMlp::setWeights(const MlpWeights &w)
+FixedMlp::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == topo, "weight topology mismatch");
-    for (int j = 0; j < topo.hidden; ++j)
-        for (int i = 0; i <= topo.inputs; ++i)
-            hiddenW[static_cast<size_t>(j) *
-                        static_cast<size_t>(topo.inputs + 1) +
-                    static_cast<size_t>(i)] =
-                Fix16::fromDouble(w.hid(j, i));
-    for (int k = 0; k < topo.outputs; ++k)
-        for (int j = 0; j <= topo.hidden; ++j)
-            outputW[static_cast<size_t>(k) *
-                        static_cast<size_t>(topo.hidden + 1) +
-                    static_cast<size_t>(j)] =
-                Fix16::fromDouble(w.out(k, j));
+    std::span<const double> hid = w.stage(0), out = w.stage(1);
+    for (size_t k = 0; k < hid.size(); ++k)
+        hiddenW[k] = Fix16::fromDouble(hid[k]);
+    for (size_t k = 0; k < out.size(); ++k)
+        outputW[k] = Fix16::fromDouble(out[k]);
 }
 
 Fix16

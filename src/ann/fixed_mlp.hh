@@ -26,7 +26,7 @@ class FixedMlp : public ForwardModel
     MlpTopology topology() const override { return topo; }
 
     /** Quantize and install weights. */
-    void setWeights(const MlpWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
 
     Activations forward(std::span<const double> input) override;
 

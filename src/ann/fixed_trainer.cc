@@ -18,25 +18,14 @@ mac(Fix16 acc, Fix16 a, Fix16 b)
 } // namespace
 
 DeepWeights
-FixedTrainer::trainLayers(ForwardModel &model, const Dataset &train_set,
-                          Rng &rng, const DeepWeights *init) const
+FixedTrainer::train(ForwardModel &model, const Dataset &train_set,
+                    Rng &rng, const DeepWeights *init) const
 {
     DeepTopology topo = model.layerTopology();
     dtann_assert(topo.inputs() == train_set.numAttributes,
                  "dataset arity mismatch");
     dtann_assert(topo.outputs() >= train_set.numClasses,
                  "too few outputs for dataset classes");
-
-    // Q6.10 shadow weights, one flat array per stage (bias last).
-    std::vector<std::vector<Fix16>> sw(topo.stages());
-    for (size_t s = 0; s < topo.stages(); ++s)
-        sw[s].resize(static_cast<size_t>(topo.layers[s + 1]) *
-                     static_cast<size_t>(topo.layers[s] + 1));
-    auto at = [&](size_t s, int j, int i) -> Fix16 & {
-        return sw[s][static_cast<size_t>(j) *
-                         static_cast<size_t>(topo.layers[s] + 1) +
-                     static_cast<size_t>(i)];
-    };
 
     DeepWeights w(topo);
     if (init) {
@@ -46,17 +35,27 @@ FixedTrainer::trainLayers(ForwardModel &model, const Dataset &train_set,
     } else {
         w.initRandom(rng);
     }
-    for (size_t s = 0; s < topo.stages(); ++s)
-        for (int j = 0; j < topo.layers[s + 1]; ++j)
-            for (int i = 0; i <= topo.layers[s]; ++i)
-                at(s, j, i) = Fix16::fromDouble(w.at(s, j, i));
+
+    // Q6.10 shadow weights in the same flat stage layout as w.
+    std::vector<Fix16> sw(w.count());
+    auto at = [&](size_t s, int j, int i) -> Fix16 & {
+        return sw[w.index(s, j, i)];
+    };
+    for (size_t s = 0; s < topo.stages(); ++s) {
+        std::span<const double> stage = w.stage(s);
+        Fix16 *dst = &at(s, 0, 0);
+        for (size_t k = 0; k < stage.size(); ++k)
+            dst[k] = Fix16::fromDouble(stage[k]);
+    }
 
     auto push = [&]() {
-        for (size_t s = 0; s < topo.stages(); ++s)
-            for (int j = 0; j < topo.layers[s + 1]; ++j)
-                for (int i = 0; i <= topo.layers[s]; ++i)
-                    w.at(s, j, i) = at(s, j, i).toDouble();
-        model.setLayerWeights(w);
+        for (size_t s = 0; s < topo.stages(); ++s) {
+            std::span<double> stage = w.stage(s);
+            const Fix16 *src = &at(s, 0, 0);
+            for (size_t k = 0; k < stage.size(); ++k)
+                stage[k] = src[k].toDouble();
+        }
+        model.setWeights(w);
     };
     push();
 
@@ -137,18 +136,6 @@ FixedTrainer::trainLayers(ForwardModel &model, const Dataset &train_set,
             push();
         });
     return w;
-}
-
-MlpWeights
-FixedTrainer::train(ForwardModel &model, const Dataset &train_set,
-                    Rng &rng, const MlpWeights *init) const
-{
-    if (init) {
-        DeepWeights init_layers = toLayerWeights(*init);
-        return toMlpWeights(
-            trainLayers(model, train_set, rng, &init_layers));
-    }
-    return toMlpWeights(trainLayers(model, train_set, rng));
 }
 
 } // namespace dtann

@@ -33,8 +33,8 @@ class FixedTrainer
     explicit FixedTrainer(Hyper hyper) : hyper(hyper) {}
 
     /**
-     * Train @p model on @p train_set with fixed-point updates
-     * (2-layer convenience wrapper around trainLayers()).
+     * Train @p model on @p train_set through its full layer stack
+     * with fixed-point updates.
      *
      * The shadow weights are Q6.10; every arithmetic step uses
      * saturating fixed-point operations (a training datapath would
@@ -42,14 +42,8 @@ class FixedTrainer
      *
      * @return final weights (converted to double storage)
      */
-    MlpWeights train(ForwardModel &model, const Dataset &train_set,
-                     Rng &rng, const MlpWeights *init = nullptr) const;
-
-    /** Train through the model's full layer stack (the canonical
-     *  entry point — train() is defined in terms of it). */
-    DeepWeights trainLayers(ForwardModel &model,
-                            const Dataset &train_set, Rng &rng,
-                            const DeepWeights *init = nullptr) const;
+    DeepWeights train(ForwardModel &model, const Dataset &train_set,
+                      Rng &rng, const DeepWeights *init = nullptr) const;
 
     const Hyper &hyperParams() const { return hyper; }
 

@@ -11,154 +11,31 @@ toLayerTopology(MlpTopology t)
     return DeepTopology{{t.inputs, t.hidden, t.outputs}};
 }
 
-MlpWeights::MlpWeights(MlpTopology t)
-    : topo(t),
-      hiddenW(static_cast<size_t>(t.hidden) *
-              static_cast<size_t>(t.inputs + 1)),
-      outputW(static_cast<size_t>(t.outputs) *
-              static_cast<size_t>(t.hidden + 1))
-{
-    dtann_assert(t.inputs >= 1 && t.hidden >= 1 && t.outputs >= 1,
-                 "degenerate topology");
-}
-
-double &
-MlpWeights::hid(int j, int i)
-{
-    dtann_assert(j >= 0 && j < topo.hidden && i >= 0 && i <= topo.inputs,
-                 "hid(%d, %d) out of range", j, i);
-    return hiddenW[static_cast<size_t>(j) *
-                       static_cast<size_t>(topo.inputs + 1) +
-                   static_cast<size_t>(i)];
-}
-
-double
-MlpWeights::hid(int j, int i) const
-{
-    return const_cast<MlpWeights *>(this)->hid(j, i);
-}
-
-double &
-MlpWeights::out(int k, int j)
-{
-    dtann_assert(k >= 0 && k < topo.outputs && j >= 0 && j <= topo.hidden,
-                 "out(%d, %d) out of range", k, j);
-    return outputW[static_cast<size_t>(k) *
-                       static_cast<size_t>(topo.hidden + 1) +
-                   static_cast<size_t>(j)];
-}
-
-double
-MlpWeights::out(int k, int j) const
-{
-    return const_cast<MlpWeights *>(this)->out(k, j);
-}
-
-void
-MlpWeights::initRandom(Rng &rng, double range)
-{
-    for (double &w : hiddenW)
-        w = rng.nextDouble(-range, range);
-    for (double &w : outputW)
-        w = rng.nextDouble(-range, range);
-}
-
 DeepWeights::DeepWeights(DeepTopology t) : topo(std::move(t))
 {
     dtann_assert(topo.layers.size() >= 3,
                  "deep topology needs input, >=1 hidden, output");
     for (int width : topo.layers)
         dtann_assert(width >= 1, "degenerate layer");
-    stages_.resize(topo.stages());
+    offsets.assign(topo.stages() + 1, 0);
     for (size_t s = 0; s < topo.stages(); ++s)
-        stages_[s].assign(
+        offsets[s + 1] = offsets[s] +
             static_cast<size_t>(topo.layers[s + 1]) *
-                static_cast<size_t>(topo.layers[s] + 1),
-            0.0);
-}
-
-double &
-DeepWeights::at(size_t s, int j, int i)
-{
-    dtann_assert(s < topo.stages(), "stage out of range");
-    dtann_assert(j >= 0 && j < topo.layers[s + 1] && i >= 0 &&
-                     i <= topo.layers[s],
-                 "weight index out of range");
-    return stages_[s][static_cast<size_t>(j) *
-                          static_cast<size_t>(topo.layers[s] + 1) +
-                      static_cast<size_t>(i)];
-}
-
-double
-DeepWeights::at(size_t s, int j, int i) const
-{
-    return const_cast<DeepWeights *>(this)->at(s, j, i);
+                static_cast<size_t>(topo.layers[s] + 1);
+    values.assign(offsets.back(), 0.0);
 }
 
 void
 DeepWeights::initRandom(Rng &rng, double range)
 {
-    for (auto &stage : stages_)
-        for (double &w : stage)
-            w = rng.nextDouble(-range, range);
-}
-
-size_t
-DeepWeights::count() const
-{
-    size_t total = 0;
-    for (const auto &stage : stages_)
-        total += stage.size();
-    return total;
-}
-
-DeepWeights
-toLayerWeights(const MlpWeights &w)
-{
-    const MlpTopology &t = w.topology();
-    DeepWeights layered(toLayerTopology(t));
-    for (int j = 0; j < t.hidden; ++j)
-        for (int i = 0; i <= t.inputs; ++i)
-            layered.at(0, j, i) = w.hid(j, i);
-    for (int k = 0; k < t.outputs; ++k)
-        for (int j = 0; j <= t.hidden; ++j)
-            layered.at(1, k, j) = w.out(k, j);
-    return layered;
-}
-
-MlpWeights
-toMlpWeights(const DeepWeights &w)
-{
-    const DeepTopology &t = w.topology();
-    dtann_assert(t.stages() == 2,
-                 "only a 2-stage stack collapses to MlpWeights");
-    MlpTopology topo{t.layers[0], t.layers[1], t.layers[2]};
-    MlpWeights flat(topo);
-    for (int j = 0; j < topo.hidden; ++j)
-        for (int i = 0; i <= topo.inputs; ++i)
-            flat.hid(j, i) = w.at(0, j, i);
-    for (int k = 0; k < topo.outputs; ++k)
-        for (int j = 0; j <= topo.hidden; ++j)
-            flat.out(k, j) = w.at(1, k, j);
-    return flat;
+    for (double &w : values)
+        w = rng.nextDouble(-range, range);
 }
 
 DeepTopology
 ForwardModel::layerTopology() const
 {
     return toLayerTopology(topology());
-}
-
-void
-ForwardModel::setWeights(const MlpWeights &w)
-{
-    setLayerWeights(toLayerWeights(w));
-}
-
-void
-ForwardModel::setLayerWeights(const DeepWeights &w)
-{
-    setWeights(toMlpWeights(w));
 }
 
 Activations
@@ -181,7 +58,7 @@ ForwardModel::rowLoopBatch(std::span<const std::vector<double>> inputs)
 }
 
 void
-FloatMlp::setWeights(const MlpWeights &w)
+FloatMlp::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == topo, "weight topology mismatch");
     weights = w;

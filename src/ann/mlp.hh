@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "circuit/sim_counters.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 
 namespace dtann {
@@ -43,76 +44,98 @@ struct DeepTopology
     size_t stages() const { return layers.size() - 1; }
 
     bool operator==(const DeepTopology &o) const = default;
+
+    /** True for the 2-layer stack {t.inputs, t.hidden, t.outputs}. */
+    bool operator==(const MlpTopology &t) const
+    {
+        return layers.size() == 3 && layers[0] == t.inputs &&
+            layers[1] == t.hidden && layers[2] == t.outputs;
+    }
 };
 
 /** View a 2-layer topology as a layer stack. */
 DeepTopology toLayerTopology(MlpTopology t);
 
 /**
- * Dense weight storage: hidden weights are [hidden][inputs + 1]
- * (bias last), output weights are [outputs][hidden + 1].
+ * Dense weights of a layer stack, the one weight type every model,
+ * trainer and backend shares. Stage s maps layer s to layer s+1 and
+ * is stored row-major as [layers[s+1]][layers[s] + 1], bias last.
+ * All stages live in one contiguous buffer, stage 0 first; a 2-layer
+ * network is the 2-stage stack, read through hid() and out().
  */
-class MlpWeights
-{
-  public:
-    MlpWeights() = default;
-    explicit MlpWeights(MlpTopology topo);
-
-    const MlpTopology &topology() const { return topo; }
-
-    /** Hidden-layer weight from input @p i (or bias when i ==
-     *  inputs) to hidden neuron @p j. @{ */
-    double &hid(int j, int i);
-    double hid(int j, int i) const;
-    /** @} */
-
-    /** Output-layer weight from hidden @p j (bias when j ==
-     *  hidden) to output neuron @p k. @{ */
-    double &out(int k, int j);
-    double out(int k, int j) const;
-    /** @} */
-
-    /** Uniform random initialization in [-range, range]. */
-    void initRandom(Rng &rng, double range = 0.5);
-
-    /** Total number of weights (including biases). */
-    size_t count() const { return hiddenW.size() + outputW.size(); }
-
-  private:
-    MlpTopology topo{0, 0, 0};
-    std::vector<double> hiddenW;
-    std::vector<double> outputW;
-};
-
-/** Dense weights: stage s maps layer s to layer s+1, bias last. */
 class DeepWeights
 {
   public:
     DeepWeights() = default;
     explicit DeepWeights(DeepTopology topo);
+    /** The 2-stage stack of a 2-layer network. */
+    explicit DeepWeights(MlpTopology topo)
+        : DeepWeights(toLayerTopology(topo))
+    {
+    }
 
     const DeepTopology &topology() const { return topo; }
 
     /** Weight from unit @p i of layer @p s (bias when i equals
      *  that layer's width) to unit @p j of layer s+1. @{ */
-    double &at(size_t s, int j, int i);
-    double at(size_t s, int j, int i) const;
+    double &at(size_t s, int j, int i) { return values[index(s, j, i)]; }
+    double at(size_t s, int j, int i) const
+    {
+        return values[index(s, j, i)];
+    }
     /** @} */
 
+    /** 2-layer view of stage 0: input @p i (bias when i equals the
+     *  input count) to hidden neuron @p j. @{ */
+    double &hid(int j, int i) { return at(0, j, i); }
+    double hid(int j, int i) const { return at(0, j, i); }
+    /** @} */
+
+    /** 2-layer view of stage 1: hidden @p j (bias when j equals the
+     *  hidden count) to output neuron @p k. @{ */
+    double &out(int k, int j) { return at(1, k, j); }
+    double out(int k, int j) const { return at(1, k, j); }
+    /** @} */
+
+    /** Stage @p s's row-major storage, [layers[s+1]][layers[s] + 1].
+     *  @{ */
+    std::span<double> stage(size_t s)
+    {
+        dtann_assert(s < topo.stages(), "stage out of range");
+        return {values.data() + offsets[s], offsets[s + 1] - offsets[s]};
+    }
+    std::span<const double> stage(size_t s) const
+    {
+        return const_cast<DeepWeights *>(this)->stage(s);
+    }
+    /** @} */
+
+    /** Position of at(s, j, i) in the contiguous buffer. */
+    size_t index(size_t s, int j, int i) const
+    {
+        dtann_assert(s < topo.stages(), "stage out of range");
+        dtann_assert(j >= 0 && j < topo.layers[s + 1] && i >= 0 &&
+                         i <= topo.layers[s],
+                     "weight (%zu, %d, %d) out of range", s, j, i);
+        return offsets[s] +
+            static_cast<size_t>(j) *
+            static_cast<size_t>(topo.layers[s] + 1) +
+            static_cast<size_t>(i);
+    }
+
+    /** Uniform random initialization in [-range, range], stage 0
+     *  first, each stage in storage order. */
     void initRandom(Rng &rng, double range = 0.5);
 
-    size_t count() const;
+    /** Total number of weights (including biases). */
+    size_t count() const { return values.size(); }
 
   private:
     DeepTopology topo;
-    std::vector<std::vector<double>> stages_;
+    /** Stage s occupies [offsets[s], offsets[s + 1]) of values. */
+    std::vector<size_t> offsets;
+    std::vector<double> values;
 };
-
-/** View 2-layer weights as a 2-stage stack (exact value copy). */
-DeepWeights toLayerWeights(const MlpWeights &w);
-
-/** Collapse a 2-stage stack to 2-layer weights (exact value copy). */
-MlpWeights toMlpWeights(const DeepWeights &w);
 
 /**
  * Post-activation values of every layer after the input:
@@ -125,11 +148,12 @@ struct Activations
 
     Activations() = default;
 
-    /** Allocate a 2-layer record (hidden + output). */
-    Activations(size_t hidden_size, size_t output_size)
-        : layers{std::vector<double>(hidden_size),
-                 std::vector<double>(output_size)}
+    /** Allocate a 2-layer record (hidden + output): three
+     *  allocations, no initializer-list temporaries. */
+    Activations(size_t hidden_size, size_t output_size) : layers(2)
     {
+        layers[0].resize(hidden_size);
+        layers[1].resize(output_size);
     }
 
     /** Output-layer values. @{ */
@@ -177,14 +201,9 @@ class ForwardModel
     /** Full layer stack; the default is the 2-layer topology(). */
     virtual DeepTopology layerTopology() const;
 
-    /** Install 2-layer weights (hardware models quantize/write
-     *  latches). The default wraps them into a 2-stage stack and
-     *  calls setLayerWeights(). */
-    virtual void setWeights(const MlpWeights &w);
-
-    /** Install a full weight stack. The default requires a 2-stage
-     *  stack and calls setWeights(). */
-    virtual void setLayerWeights(const DeepWeights &w);
+    /** Install a full weight stack matching layerTopology();
+     *  hardware models quantize it into their weight latches. */
+    virtual void setWeights(const DeepWeights &w) = 0;
 
     /** Run one input row; the default evaluates a 1-row batch. */
     virtual Activations forward(std::span<const double> input);
@@ -217,7 +236,7 @@ class FloatMlp : public ForwardModel
     explicit FloatMlp(MlpTopology topo) : topo(topo), weights(topo) {}
 
     MlpTopology topology() const override { return topo; }
-    void setWeights(const MlpWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
     Activations forward(std::span<const double> input) override;
     std::vector<Activations> forwardBatch(
         std::span<const std::vector<double>> inputs) override
@@ -228,7 +247,7 @@ class FloatMlp : public ForwardModel
 
   private:
     MlpTopology topo;
-    MlpWeights weights;
+    DeepWeights weights;
 };
 
 } // namespace dtann

@@ -6,8 +6,8 @@
 namespace dtann {
 
 DeepWeights
-Trainer::trainLayers(ForwardModel &model, const Dataset &train_set,
-                     Rng &rng, const DeepWeights *init) const
+Trainer::train(ForwardModel &model, const Dataset &train_set, Rng &rng,
+               const DeepWeights *init) const
 {
     DeepTopology topo = model.layerTopology();
     dtann_assert(topo.inputs() == train_set.numAttributes,
@@ -40,7 +40,7 @@ Trainer::trainLayers(ForwardModel &model, const Dataset &train_set,
         }
     };
     applyPruneMask();
-    model.setLayerWeights(w);
+    model.setWeights(w);
 
     // Per-layer gradient buffers.
     std::vector<std::vector<double>> grad(topo.stages());
@@ -65,55 +65,50 @@ Trainer::trainLayers(ForwardModel &model, const Dataset &train_set,
             for (size_t s = last; s-- > 0;) {
                 int width = topo.layers[s + 1];
                 int above = topo.layers[s + 2];
+                std::span<const double> w_above = w.stage(s + 1);
+                size_t stride = static_cast<size_t>(width + 1);
                 for (int j = 0; j < width; ++j) {
                     double back = 0.0;
                     for (int k = 0; k < above; ++k)
                         back += grad[s + 1][static_cast<size_t>(k)] *
-                            w.at(s + 1, k, j);
+                            w_above[static_cast<size_t>(k) * stride +
+                                    static_cast<size_t>(j)];
                     grad[s][static_cast<size_t>(j)] =
                         logisticDerivFromY(
                             acts[s][static_cast<size_t>(j)]) *
                         back;
                 }
             }
-            // Updates with momentum; layer s's input is acts[s-1]
-            // (or the row itself for s = 0).
+            // Updates with momentum, row by row over the flat stages;
+            // layer s's input is acts[s-1] (or the row itself for
+            // s = 0).
             for (size_t s = 0; s < topo.stages(); ++s) {
                 int fanin = topo.layers[s];
                 int width = topo.layers[s + 1];
-                for (int j = 0; j < width; ++j) {
+                size_t stride = static_cast<size_t>(fanin + 1);
+                const double *in_vals = s == 0 ? x.data()
+                                               : acts[s - 1].data();
+                double *w_row = w.stage(s).data();
+                double *d_row = delta.stage(s).data();
+                for (int j = 0; j < width;
+                     ++j, w_row += stride, d_row += stride) {
                     double g = grad[s][static_cast<size_t>(j)];
                     for (int i = 0; i < fanin; ++i) {
-                        double in_val = s == 0
-                            ? x[static_cast<size_t>(i)]
-                            : acts[s - 1][static_cast<size_t>(i)];
-                        double d = hyper.learningRate * g * in_val +
-                            hyper.momentum * delta.at(s, j, i);
-                        delta.at(s, j, i) = d;
-                        w.at(s, j, i) += d;
+                        double d = hyper.learningRate * g * in_vals[i] +
+                            hyper.momentum * d_row[i];
+                        d_row[i] = d;
+                        w_row[i] += d;
                     }
                     double db = hyper.learningRate * g +
-                        hyper.momentum * delta.at(s, j, fanin);
-                    delta.at(s, j, fanin) = db;
-                    w.at(s, j, fanin) += db;
+                        hyper.momentum * d_row[fanin];
+                    d_row[fanin] = db;
+                    w_row[fanin] += db;
                 }
             }
             applyPruneMask();
-            model.setLayerWeights(w);
+            model.setWeights(w);
         });
     return w;
-}
-
-MlpWeights
-Trainer::train(ForwardModel &model, const Dataset &train_set,
-               Rng &rng, const MlpWeights *init) const
-{
-    if (init) {
-        DeepWeights init_layers = toLayerWeights(*init);
-        return toMlpWeights(
-            trainLayers(model, train_set, rng, &init_layers));
-    }
-    return toMlpWeights(trainLayers(model, train_set, rng));
 }
 
 } // namespace dtann

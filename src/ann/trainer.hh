@@ -55,8 +55,8 @@ class Trainer
     explicit Trainer(Hyper hyper) : hyper(hyper) {}
 
     /**
-     * Train @p model on @p train_set (2-layer convenience wrapper
-     * around trainLayers()).
+     * Train @p model on @p train_set through its full layer stack
+     * (model.layerTopology()).
      *
      * @param model forward path; receives weight updates each step
      * @param train_set training examples (normalized to [0, 1])
@@ -65,17 +65,8 @@ class Trainer
      *        random initialization
      * @return the final shadow weights
      */
-    MlpWeights train(ForwardModel &model, const Dataset &train_set,
-                     Rng &rng, const MlpWeights *init = nullptr) const;
-
-    /**
-     * Train @p model through its full layer stack
-     * (model.layerTopology()); the canonical entry point — the
-     * 2-layer train() is defined in terms of it.
-     */
-    DeepWeights trainLayers(ForwardModel &model,
-                            const Dataset &train_set, Rng &rng,
-                            const DeepWeights *init = nullptr) const;
+    DeepWeights train(ForwardModel &model, const Dataset &train_set,
+                      Rng &rng, const DeepWeights *init = nullptr) const;
 
     const Hyper &hyperParams() const { return hyper; }
 

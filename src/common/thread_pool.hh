@@ -3,7 +3,10 @@
  * Fixed-size worker pool for embarrassingly parallel campaign work.
  *
  * The pool runs index-based batches (parallelFor): workers pull the
- * next index from the batch until it is exhausted. The calling
+ * next index from the batch, in ascending order, until it is
+ * exhausted. A caller that wants another claim order maps the index
+ * through a permutation of its own (CampaignEngine::runCells()
+ * claims its heaviest cells first this way). The calling
  * thread participates in its own batch, so a pool of size 1
  * executes entirely on the caller with no handoff, and results are
  * bit-identical for any pool size as long as the per-index work
@@ -54,7 +57,9 @@ class ThreadPool
     /**
      * Run fn(0) .. fn(n-1), distributing indices over the pool.
      * Blocks until every index has completed. Indices are claimed
-     * dynamically, so long and short items mix freely; @p fn must
+     * dynamically in ascending order, so long and short items mix
+     * freely (long items placed first keep every worker busy to the
+     * end); @p fn must
      * not assume any execution order. The first exception thrown by
      * @p fn is rethrown here after the batch drains. Thread-safe:
      * concurrent calls run as independent, fairly interleaved

@@ -193,6 +193,8 @@ HardwareBackend::HardwareBackend(const AcceleratorConfig &config,
                                              config.outputs)) *
                 static_cast<size_t>(std::max(config.inputs,
                                              config.hidden) + 1)),
+      rowIn(static_cast<size_t>(config.inputs)),
+      rowOut(static_cast<size_t>(config.outputs)),
       hidW(static_cast<size_t>(config.hidden) *
            static_cast<size_t>(config.inputs + 1)),
       outW(static_cast<size_t>(config.outputs) *
@@ -761,11 +763,12 @@ HardwareBackend::storeRow(Layer pass, int neuron,
 }
 
 void
-HardwareBackend::setWeights(const MlpWeights &w)
+HardwareBackend::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == logical, "weight topology mismatch");
     for (Layer pass : {Layer::Hidden, Layer::Output}) {
         bool hid = pass == Layer::Hidden;
+        std::span<const double> stage = w.stage(hid ? 0 : 1);
         int neurons = hid ? cfg.hidden : cfg.outputs;
         int fanin = hid ? cfg.inputs : cfg.hidden;
         int used_neurons = hid ? logical.hidden : logical.outputs;
@@ -792,7 +795,9 @@ HardwareBackend::setWeights(const MlpWeights &w)
                                             : -1;
                     double v = 0.0;
                     if (n < used_neurons && li >= 0)
-                        v = hid ? w.hid(n, li) : w.out(n, li);
+                        v = stage[static_cast<size_t>(n) *
+                                      static_cast<size_t>(used_fanin + 1) +
+                                  static_cast<size_t>(li)];
                     storeWeight(pass, n, i, Fix16::fromDouble(v));
                 }
             }
@@ -908,12 +913,10 @@ HardwareBackend::forward(std::span<const double> input)
 {
     dtann_assert(static_cast<int>(input.size()) == logical.inputs,
                  "logical input arity mismatch");
-    std::vector<Fix16> phys(static_cast<size_t>(cfg.inputs));
     for (size_t i = 0; i < input.size(); ++i)
-        phys[i] = Fix16::fromDouble(input[i]);
-    std::vector<Fix16> out(static_cast<size_t>(cfg.outputs));
-    forwardLayer(Layer::Hidden, phys, hiddenAct);
-    forwardLayer(Layer::Output, hiddenAct, out);
+        rowIn[i] = Fix16::fromDouble(input[i]);
+    forwardLayer(Layer::Hidden, rowIn, hiddenAct);
+    forwardLayer(Layer::Output, hiddenAct, rowOut);
 
     Activations act(static_cast<size_t>(logical.hidden),
                     static_cast<size_t>(logical.outputs));
@@ -922,7 +925,7 @@ HardwareBackend::forward(std::span<const double> input)
             hiddenAct[static_cast<size_t>(j)].toDouble();
     for (int k = 0; k < logical.outputs; ++k)
         act.output()[static_cast<size_t>(k)] =
-            out[static_cast<size_t>(k)].toDouble();
+            rowOut[static_cast<size_t>(k)].toDouble();
     return act;
 }
 

@@ -197,9 +197,10 @@ class HardwareBackend : public ForwardModel
      * land in the top-left corner of each pass (bias synapse last);
      * every other synapse stores 0. Only latches that can change are
      * written: the corner, faulty or bypassed latches, and latches
-     * that hold a nonzero value.
+     * that hold a nonzero value. Values are read straight from
+     * @p w's stage 0 (hidden) and stage 1 (output) arrays.
      */
-    void setWeights(const MlpWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
 
     /** Forward one logical input row through both passes. */
     Activations forward(std::span<const double> input) override;
@@ -450,6 +451,11 @@ class HardwareBackend : public ForwardModel
     void markUnit(const UnitSite &phys, uint8_t bit);
     /** Clear @p bit everywhere and rebuild the busy masks. */
     void unmarkAll(uint8_t bit);
+
+    /** forward()'s physical input row (logical inputs, then zero
+     *  padding that is never written) and output row. */
+    std::vector<Fix16> rowIn;
+    std::vector<Fix16> rowOut;
 
     /** Stored physical weights (post-latch values), per pass. */
     std::vector<Fix16> hidW; // [hidden][inputs+1]

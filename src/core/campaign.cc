@@ -208,7 +208,7 @@ fig5Cells(const std::vector<Fig5Config> &variants)
             cells.push_back({{"fig5", fig5OperatorName(c.op),
                               "d" + std::to_string(c.defects),
                               static_cast<uint64_t>(rep)},
-                             v});
+                             v, 0, 0, c.defects});
     }
     return cells;
 }
@@ -364,7 +364,7 @@ defectSweepCells(const std::string &kind, const CampaignConfig &config,
                 for (int rep = 0; rep < reps; ++rep)
                     cells.push_back({{kind, specs[t].name, variant,
                                       static_cast<uint64_t>(rep)},
-                                     t, d, s});
+                                     t, d, s, defectCounts[d]});
             }
         }
     return cells;

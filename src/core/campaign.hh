@@ -209,7 +209,7 @@ struct TaskContext
     Dataset ds;
     Hyper hyper;
     MlpTopology logical;
-    MlpWeights baseline;
+    DeepWeights baseline;
 };
 
 /**

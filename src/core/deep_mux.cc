@@ -19,7 +19,7 @@ DeepMuxedNetwork::topology() const
 }
 
 void
-DeepMuxedNetwork::setLayerWeights(const DeepWeights &w)
+DeepMuxedNetwork::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == topo, "weight topology mismatch");
     stageRows.assign(topo.stages(), {});

@@ -34,7 +34,7 @@ class DeepMuxedNetwork : public ForwardModel
     DeepTopology layerTopology() const override { return topo; }
 
     /** Quantize all stages; rows reload per pass. */
-    void setLayerWeights(const DeepWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
 
     Activations forward(std::span<const double> input) override;
 

@@ -1,6 +1,8 @@
 #include "core/engine.hh"
 
+#include <algorithm>
 #include <mutex>
+#include <numeric>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -116,9 +118,16 @@ CampaignEngine::runTable(const CampaignRunConfig &config,
                          const CellHooks &hooks)
 {
     CellCache *journal = config.journal;
+    std::vector<size_t> claims(cells.size());
+    std::iota(claims.begin(), claims.end(), size_t{0});
+    std::stable_sort(claims.begin(), claims.end(),
+                     [&](size_t a, size_t b) {
+                         return cells[a].defects > cells[b].defects;
+                     });
     std::mutex mu;
     size_t done = 0;
-    parallelFor(cells.size(), [&](size_t i) {
+    parallelFor(cells.size(), [&](size_t claim) {
+        size_t i = claims[claim];
         const CellKey &key = cells[i].key;
         std::string payload;
         bool replayed = false;

@@ -14,7 +14,8 @@
  * Determinism: every cell derives all of its randomness with
  * Rng::substream(seed, {stream, task, variant, rep}) — counter-based
  * splitting, a pure function of the cell coordinates — and results
- * are folded in cell-index order after the parallel phase.
+ * are folded in cell-index order after the parallel phase, whatever
+ * order the cells were claimed in.
  * Campaign output is therefore bit-identical for any thread count,
  * including 1 (covered by EngineDeterminism tests).
  */
@@ -122,7 +123,8 @@ class CellCache
 /**
  * One row of a campaign's cell table: its journal key plus the
  * coordinates its compute hook reads. The row's flat index is what
- * sharding filters on and what the fold follows.
+ * sharding filters on and what the fold follows; its defect count
+ * only orders the claims (see CampaignEngine::runCells()).
  */
 struct CampaignCell
 {
@@ -130,6 +132,7 @@ struct CampaignCell
     size_t task = 0;     ///< index into the task list (fig5: variants)
     size_t variant = 0;  ///< index into the swept defect counts
     size_t strategy = 0; ///< index into the mitigation lineup
+    int defects = 0;     ///< defects the cell injects (its cost proxy)
 };
 
 /**
@@ -250,6 +253,14 @@ class CampaignEngine
      * and journal Payload::toJson(). Each resolved cell is reported
      * to config.onCellDone as label(cell, payload), cellsDone
      * counting 1, 2, ... of cellsTotal = cells.size().
+     *
+     * Workers claim cells heaviest first: by defect count,
+     * descending, table order among equals, so the costly
+     * many-defect cells do not start last and leave the other
+     * workers idle at the tail. Only the claim order changes:
+     * results, the fold, shard membership and journal keys all
+     * follow the flat index, so the output is identical to a
+     * table-order run.
      *
      * @return one entry per cell; empty for other shards' cells
      */

@@ -77,7 +77,7 @@ WriteDecoder::select(int address)
 }
 
 void
-writeWeightsThroughDecoder(Accelerator &accel, const MlpWeights &w,
+writeWeightsThroughDecoder(Accelerator &accel, const DeepWeights &w,
                            WriteDecoder &decoder)
 {
     const AcceleratorConfig &cfg = accel.config();

@@ -17,7 +17,7 @@ SparedOutputMlp::SparedOutputMlp(Accelerator &a, MlpTopology logical_topo,
                                  int copy_count)
     : accel(a), logical(logical_topo),
       replicated(sparedTopology(logical_topo, copy_count)),
-      copies(copy_count)
+      copies(copy_count), dup(replicated)
 {
     dtann_assert(accel.topology() == replicated,
                  "accelerator must be mapped with the replicated "
@@ -27,13 +27,10 @@ SparedOutputMlp::SparedOutputMlp(Accelerator &a, MlpTopology logical_topo,
 }
 
 void
-SparedOutputMlp::setWeights(const MlpWeights &w)
+SparedOutputMlp::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == logical, "weight topology mismatch");
-    MlpWeights dup(replicated);
-    for (int j = 0; j < logical.hidden; ++j)
-        for (int i = 0; i <= logical.inputs; ++i)
-            dup.hid(j, i) = w.hid(j, i);
+    std::ranges::copy(w.stage(0), dup.stage(0).begin());
     for (int k = 0; k < logical.outputs; ++k)
         for (int j = 0; j <= logical.hidden; ++j)
             for (int c = 0; c < copies; ++c)

@@ -48,7 +48,7 @@ class SparedOutputMlp : public ForwardModel
     MlpTopology topology() const override { return logical; }
 
     /** Duplicate output rows onto the spares and install. */
-    void setWeights(const MlpWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
 
     /** Forward with the copy combiner (average or median). */
     Activations forward(std::span<const double> input) override;
@@ -76,6 +76,8 @@ class SparedOutputMlp : public ForwardModel
     MlpTopology logical;
     MlpTopology replicated;
     int copies;
+    /** The replicated stack setWeights() installs, reused per call. */
+    DeepWeights dup;
 };
 
 /**

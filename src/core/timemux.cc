@@ -14,7 +14,7 @@ TimeMuxedMlp::TimeMuxedMlp(Accelerator &a, MlpTopology logical_topo)
 }
 
 void
-TimeMuxedMlp::setWeights(const MlpWeights &w)
+TimeMuxedMlp::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == logical, "weight topology mismatch");
     hidRows.assign(static_cast<size_t>(logical.hidden), {});

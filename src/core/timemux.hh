@@ -90,7 +90,7 @@ class TimeMuxedMlp : public ForwardModel
     MlpTopology topology() const override { return logical; }
 
     /** Store and quantize weights; rows are reloaded per pass. */
-    void setWeights(const MlpWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
 
     Activations forward(std::span<const double> input) override;
 

@@ -41,7 +41,8 @@ RemappedOutputMlp::extendedTopology(MlpTopology logical,
 RemappedOutputMlp::RemappedOutputMlp(Accelerator &a,
                                      MlpTopology logical_topo,
                                      std::vector<int> row_map)
-    : accel(a), logical(logical_topo), map(std::move(row_map))
+    : accel(a), logical(logical_topo), map(std::move(row_map)),
+      steered(extendedTopology(logical, accel.config()))
 {
     dtann_assert(accel.topology() ==
                      extendedTopology(logical, accel.config()),
@@ -69,14 +70,10 @@ RemappedOutputMlp::remappedCount() const
 }
 
 void
-RemappedOutputMlp::setWeights(const MlpWeights &w)
+RemappedOutputMlp::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == logical, "weight topology mismatch");
-    MlpTopology extended = extendedTopology(logical, accel.config());
-    MlpWeights steered(extended);
-    for (int j = 0; j < logical.hidden; ++j)
-        for (int i = 0; i <= logical.inputs; ++i)
-            steered.hid(j, i) = w.hid(j, i);
+    std::ranges::copy(w.stage(0), steered.stage(0).begin());
     for (int k = 0; k < logical.outputs; ++k)
         for (int j = 0; j <= logical.hidden; ++j)
             steered.out(map[static_cast<size_t>(k)], j) = w.out(k, j);

@@ -51,7 +51,7 @@ class RemappedOutputMlp : public ForwardModel
 
     /** Write logical output rows onto their mapped physical rows
      *  (unmapped rows hold zero weights). */
-    void setWeights(const MlpWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
 
     /** Forward, reading each logical output from its mapped row. */
     Activations forward(std::span<const double> input) override;
@@ -81,6 +81,9 @@ class RemappedOutputMlp : public ForwardModel
     Accelerator &accel;
     MlpTopology logical;
     std::vector<int> map;
+    /** The extended stack setWeights() installs, reused per call;
+     *  rows outside the map are never written and stay zero. */
+    DeepWeights steered;
 };
 
 } // namespace dtann

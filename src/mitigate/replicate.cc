@@ -47,7 +47,8 @@ ReplicatedOutputMlp::extendedTopology(MlpTopology logical,
 ReplicatedOutputMlp::ReplicatedOutputMlp(
     Accelerator &a, MlpTopology logical_topo,
     std::vector<std::vector<int>> row_groups)
-    : accel(a), logical(logical_topo), groups(std::move(row_groups))
+    : accel(a), logical(logical_topo), groups(std::move(row_groups)),
+      dup(extendedTopology(logical, accel.config()))
 {
     dtann_assert(accel.topology() ==
                      extendedTopology(logical, accel.config()),
@@ -82,14 +83,10 @@ ReplicatedOutputMlp::spareRowsUsed() const
 }
 
 void
-ReplicatedOutputMlp::setWeights(const MlpWeights &w)
+ReplicatedOutputMlp::setWeights(const DeepWeights &w)
 {
     dtann_assert(w.topology() == logical, "weight topology mismatch");
-    MlpTopology extended = extendedTopology(logical, accel.config());
-    MlpWeights dup(extended);
-    for (int j = 0; j < logical.hidden; ++j)
-        for (int i = 0; i <= logical.inputs; ++i)
-            dup.hid(j, i) = w.hid(j, i);
+    std::ranges::copy(w.stage(0), dup.stage(0).begin());
     for (int k = 0; k < logical.outputs; ++k)
         for (int j = 0; j <= logical.hidden; ++j)
             for (int row : groups[static_cast<size_t>(k)])

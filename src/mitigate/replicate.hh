@@ -57,7 +57,7 @@ class ReplicatedOutputMlp : public ForwardModel
 
     /** Write logical output row k onto every row of its group
      *  (unused rows hold zero weights). */
-    void setWeights(const MlpWeights &w) override;
+    void setWeights(const DeepWeights &w) override;
 
     /** Forward, voting each logical output over its group. */
     Activations forward(std::span<const double> input) override;
@@ -91,6 +91,9 @@ class ReplicatedOutputMlp : public ForwardModel
     Accelerator &accel;
     MlpTopology logical;
     std::vector<std::vector<int>> groups;
+    /** The extended stack setWeights() installs, reused per call;
+     *  rows outside every group are never written and stay zero. */
+    DeepWeights dup;
 
     /** Vote one physical output vector into logical outputs. */
     void vote(const std::vector<double> &phys,

@@ -65,7 +65,7 @@ TEST(FloatDeepMlp, SingleStageMatchesManual)
     w.at(1, 0, 1) = -0.5;
     w.at(1, 0, 2) = 0.25;
     FloatDeepMlp m(t);
-    m.setLayerWeights(w);
+    m.setWeights(w);
     Activations act = m.forward(std::vector<double>{0.3, 0.7});
     double h0 = logistic(0.3 - 0.7 + 0.5);
     double h1 = logistic(0.6 - 1.0);
@@ -83,7 +83,7 @@ TEST(FloatDeepMlp, BatchMatchesScalar)
     DeepWeights w(t);
     Rng rng(21);
     w.initRandom(rng, 1.0);
-    m.setLayerWeights(w);
+    m.setWeights(w);
 
     std::vector<std::vector<double>> rows;
     for (int r = 0; r < 17; ++r) {
@@ -113,7 +113,7 @@ TEST(DeepTrainer, TwoHiddenLayersLearnXor)
     DeepWeights init(t);
     init.initRandom(rng, 1.5);
     Trainer trainer({4, 400, 0.5, 0.5});
-    trainer.trainLayers(model, ds, rng, &init);
+    trainer.train(model, ds, rng, &init);
     EXPECT_GT(evalAccuracy(model, ds), 0.9);
 }
 
@@ -126,7 +126,7 @@ TEST(DeepTrainer, DeeperStackStillTrains)
     DeepWeights init(t);
     init.initRandom(rng, 1.5);
     Trainer trainer({4, 600, 0.4, 0.5});
-    trainer.trainLayers(model, ds, rng, &init);
+    trainer.train(model, ds, rng, &init);
     EXPECT_GT(evalAccuracy(model, ds), 0.85);
 }
 
@@ -137,10 +137,10 @@ TEST(DeepTrainer, WarmStartKeepsAccuracy)
     FloatDeepMlp model(t);
     Rng rng(5);
     DeepWeights w =
-        Trainer({4, 400, 0.5, 0.5}).trainLayers(model, ds, rng);
+        Trainer({4, 400, 0.5, 0.5}).train(model, ds, rng);
     double before = evalAccuracy(model, ds);
     EXPECT_GT(before, 0.9);
-    Trainer({4, 10, 0.5, 0.5}).trainLayers(model, ds, rng, &w);
+    Trainer({4, 10, 0.5, 0.5}).train(model, ds, rng, &w);
     EXPECT_GT(evalAccuracy(model, ds), before - 0.1);
 }
 
@@ -153,19 +153,11 @@ TEST(DeepTrainer, MatchesTwoLayerSemantics)
     Rng rng(11);
     dw.initRandom(rng, 1.0);
     FloatDeepMlp deep(t);
-    deep.setLayerWeights(dw);
+    deep.setWeights(dw);
 
-    // Mirror the weights into the 2-layer structures.
-    MlpTopology topo{3, 4, 2};
-    MlpWeights w(topo);
-    for (int j = 0; j < 4; ++j)
-        for (int i = 0; i <= 3; ++i)
-            w.hid(j, i) = dw.at(0, j, i);
-    for (int k = 0; k < 2; ++k)
-        for (int j = 0; j <= 4; ++j)
-            w.out(k, j) = dw.at(1, k, j);
-    FloatMlp flat(topo);
-    flat.setWeights(w);
+    // The same stack installs into the 2-layer model unchanged.
+    FloatMlp flat(MlpTopology{3, 4, 2});
+    flat.setWeights(dw);
 
     std::vector<double> in{0.2, 0.5, 0.9};
     Activations deep_acts = deep.forward(in);
@@ -180,28 +172,28 @@ TEST(DeepTrainer, MatchesTwoLayerSemantics)
 
 TEST(DeepTrainer, StagedTrainerMatchesTwoLayerWrapper)
 {
-    // train() (2-layer MlpWeights API) must be bit-identical to
-    // trainLayers() on the equivalent layer stack: same RNG draw
-    // order, same FP expression shapes.
+    // Training the 2-layer FloatMlp must be bit-identical to training
+    // FloatDeepMlp on the same 2-stage stack: same RNG draw order,
+    // same FP expression shapes.
     Dataset ds = xorDataset();
     MlpTopology topo{2, 6, 2};
     Hyper h{6, 40, 0.5, 0.5};
 
     FloatMlp flat(topo);
     Rng r1(31);
-    MlpWeights flat_w = Trainer(h).train(flat, ds, r1);
+    DeepWeights flat_w = Trainer(h).train(flat, ds, r1);
 
     FloatDeepMlp deep(toLayerTopology(topo));
     Rng r2(31);
-    DeepWeights deep_w = Trainer(h).trainLayers(deep, ds, r2);
+    DeepWeights deep_w = Trainer(h).train(deep, ds, r2);
 
-    MlpWeights collapsed = toMlpWeights(deep_w);
-    for (int j = 0; j < topo.hidden; ++j)
-        for (int i = 0; i <= topo.inputs; ++i)
-            EXPECT_EQ(flat_w.hid(j, i), collapsed.hid(j, i));
-    for (int k = 0; k < topo.outputs; ++k)
-        for (int j = 0; j <= topo.hidden; ++j)
-            EXPECT_EQ(flat_w.out(k, j), collapsed.out(k, j));
+    ASSERT_EQ(flat_w.topology(), deep_w.topology());
+    for (size_t s = 0; s < 2; ++s) {
+        std::span<const double> a = flat_w.stage(s), b = deep_w.stage(s);
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t k = 0; k < a.size(); ++k)
+            EXPECT_EQ(a[k], b[k]) << "stage " << s << " weight " << k;
+    }
 }
 
 } // namespace

@@ -63,7 +63,7 @@ TEST(FixedTrainer, WeightsAreQuantized)
     FixedMlp model(topo);
     FixedTrainer trainer({3, 10, 0.5, 0.0});
     Rng rng(3);
-    MlpWeights w = trainer.train(model, ds, rng);
+    DeepWeights w = trainer.train(model, ds, rng);
     // Every weight is an exact multiple of 1/1024.
     for (int j = 0; j < topo.hidden; ++j)
         for (int i = 0; i <= topo.inputs; ++i) {
@@ -80,10 +80,10 @@ TEST(FixedTrainer, ZeroQuantizedLearningRateStalls)
     MlpTopology topo{2, 3, 2};
     FixedMlp model(topo);
     Rng rng(3);
-    MlpWeights init(topo);
+    DeepWeights init(topo);
     init.initRandom(rng, 0.3);
     FixedTrainer trainer({3, 3, 0.0001, 0.0});
-    MlpWeights out = trainer.train(model, ds, rng, &init);
+    DeepWeights out = trainer.train(model, ds, rng, &init);
     for (int j = 0; j < topo.hidden; ++j)
         for (int i = 0; i <= topo.inputs; ++i) {
             // The trainer quantizes the warm-start weights once;
@@ -108,10 +108,10 @@ TEST(FixedTrainer, TruncationBiasAtOneLsbLearningRate)
     MlpTopology topo{2, 3, 2};
     FixedMlp model(topo);
     Rng rng(3);
-    MlpWeights init(topo);
+    DeepWeights init(topo);
     init.initRandom(rng, 0.3);
     FixedTrainer trainer({3, 3, 1.0 / 1024.0, 0.0});
-    MlpWeights out = trainer.train(model, ds, rng, &init);
+    DeepWeights out = trainer.train(model, ds, rng, &init);
     double drift = 0.0;
     for (int j = 0; j < topo.hidden; ++j)
         for (int i = 0; i <= topo.inputs; ++i)
@@ -127,7 +127,7 @@ TEST(FixedTrainer, WarmStartRetainsAccuracy)
     FixedMlp model(topo);
     Rng rng(5);
     FixedTrainer trainer({4, 60, 0.5, 0.0});
-    MlpWeights w = trainer.train(model, ds, rng);
+    DeepWeights w = trainer.train(model, ds, rng);
     double before = evalAccuracy(model, ds);
     FixedTrainer touchup({4, 5, 0.5, 0.0});
     touchup.train(model, ds, rng, &w);

@@ -13,15 +13,15 @@
 namespace dtann {
 namespace {
 
-TEST(MlpWeights, CountIncludesBiases)
+TEST(DeepWeights, CountIncludesBiases)
 {
-    MlpWeights w({4, 3, 2});
+    DeepWeights w({4, 3, 2});
     EXPECT_EQ(w.count(), 3u * 5u + 2u * 4u);
 }
 
-TEST(MlpWeights, IndependentCells)
+TEST(DeepWeights, IndependentCells)
 {
-    MlpWeights w({2, 2, 2});
+    DeepWeights w({2, 2, 2});
     w.hid(0, 0) = 1.0;
     w.hid(1, 2) = 2.0; // bias of hidden neuron 1
     w.out(1, 0) = 3.0;
@@ -31,9 +31,9 @@ TEST(MlpWeights, IndependentCells)
     EXPECT_DOUBLE_EQ(w.hid(0, 1), 0.0);
 }
 
-TEST(MlpWeights, InitRandomWithinRange)
+TEST(DeepWeights, InitRandomWithinRange)
 {
-    MlpWeights w({10, 5, 3});
+    DeepWeights w({10, 5, 3});
     Rng rng(1);
     w.initRandom(rng, 0.5);
     bool nonzero = false;
@@ -48,7 +48,7 @@ TEST(MlpWeights, InitRandomWithinRange)
 TEST(FloatMlp, ForwardMatchesManualComputation)
 {
     MlpTopology topo{2, 2, 1};
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     w.hid(0, 0) = 1.0;
     w.hid(0, 1) = -1.0;
     w.hid(0, 2) = 0.5;  // bias
@@ -78,7 +78,7 @@ TEST(FloatMlp, OutputsBoundedBySigmoid)
 {
     MlpTopology topo{5, 4, 3};
     FloatMlp mlp(topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(2);
     w.initRandom(rng, 5.0);
     mlp.setWeights(w);
@@ -94,7 +94,7 @@ TEST(FloatMlp, ZeroWeightsGiveHalfOutputs)
 {
     MlpTopology topo{3, 2, 2};
     FloatMlp mlp(topo);
-    mlp.setWeights(MlpWeights(topo));
+    mlp.setWeights(DeepWeights(topo));
     Activations act = mlp.forward(std::vector<double>{0.2, 0.4, 0.6});
     for (double y : act.output())
         EXPECT_DOUBLE_EQ(y, 0.5);

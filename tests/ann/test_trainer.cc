@@ -48,7 +48,7 @@ TEST(Trainer, WarmStartImprovesOverColdShortRun)
     FloatMlp model(topo);
     Rng rng(3);
     // Long run to converge.
-    MlpWeights trained =
+    DeepWeights trained =
         Trainer({6, 400, 0.5, 0.5}).train(model, ds, rng);
     // Short retraining from the converged weights keeps accuracy.
     Trainer short_trainer({6, 10, 0.5, 0.5});
@@ -75,7 +75,7 @@ TEST(Trainer, AccuracyOfUntrainedNetIsChanceLike)
     Dataset ds = makeSyntheticTask(uciTask("iris"), gen, 150);
     MlpTopology topo{4, 8, 3};
     FloatMlp model(topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(5);
     w.initRandom(rng);
     model.setWeights(w);
@@ -88,7 +88,7 @@ TEST(Trainer, MseDecreasesWithTraining)
     MlpTopology topo{2, 6, 2};
     FloatMlp model(topo);
     Rng rng(3);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     w.initRandom(rng);
     model.setWeights(w);
     double before = evalMse(model, ds);
@@ -112,7 +112,7 @@ TEST(Trainer, PruneMaskFreezesSynapsesToZero)
                           {1, 0, 4}});
     EXPECT_EQ(trainer.pruneMask().size(), 3u);
     Rng rng(3);
-    MlpWeights w = trainer.train(model, ds, rng);
+    DeepWeights w = trainer.train(model, ds, rng);
     EXPECT_EQ(w.hid(2, 1), 0.0);
     EXPECT_EQ(w.hid(3, 2), 0.0);
     EXPECT_EQ(w.out(0, 4), 0.0);
@@ -130,12 +130,12 @@ TEST(Trainer, PruneMaskZeroesWarmStartWeights)
     MlpTopology topo{2, 6, 2};
     FloatMlp model(topo);
     Rng rng(3);
-    MlpWeights init = Trainer({6, 60, 0.5, 0.5}).train(model, ds, rng);
+    DeepWeights init = Trainer({6, 60, 0.5, 0.5}).train(model, ds, rng);
     ASSERT_NE(init.out(1, 2), 0.0);
 
     Trainer pruned({6, 1, 0.5, 0.5});
     pruned.setPruneMask({{1, 1, 2}});
-    MlpWeights w = pruned.train(model, ds, rng, &init);
+    DeepWeights w = pruned.train(model, ds, rng, &init);
     EXPECT_EQ(w.out(1, 2), 0.0);
 }
 
@@ -157,7 +157,7 @@ TEST(FixedMlp, MatchesFloatAccuracyAfterQuantization)
     FloatMlp fmodel(topo);
     Trainer trainer({4, 200, 0.2, 0.1});
     Rng rng(5);
-    MlpWeights w = trainer.train(fmodel, ds, rng);
+    DeepWeights w = trainer.train(fmodel, ds, rng);
 
     FixedMlp qmodel(topo);
     qmodel.setWeights(w);

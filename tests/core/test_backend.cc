@@ -80,7 +80,7 @@ TEST(Backend, CleanForwardAgreesAcrossBackendsOnAllPaperTasks)
         auto spatial = makeBackend(BackendKind::Spatial, cfg, topo);
         auto systolic = makeBackend(BackendKind::Systolic, cfg, topo);
         FixedMlp ref(topo);
-        MlpWeights w(topo);
+        DeepWeights w(topo);
         Rng rng(101);
         w.initRandom(rng, 2.0);
         spatial->setWeights(w);
@@ -107,7 +107,7 @@ TEST(Backend, CleanForwardBatchAgreesAcrossBackends)
     auto spatial = makeBackend(BackendKind::Spatial, smallArray(), topo);
     auto systolic =
         makeBackend(BackendKind::Systolic, smallArray(), topo);
-    MlpWeights w(topo);
+    DeepWeights w(topo);
     Rng rng(103);
     w.initRandom(rng, 2.0);
     spatial->setWeights(w);
@@ -196,7 +196,7 @@ struct ScanChain
     uint64_t clampHits = 0;
 
     void
-    setWeights(const MlpWeights &w)
+    setWeights(const DeepWeights &w)
     {
         const AcceleratorConfig &cfg = hw.config();
         MlpTopology t = hw.topology();
@@ -390,7 +390,7 @@ TEST(Backend, ZeroWeightElisionMatchesTheScanPathChain)
             ScanChain ref{*twin, {}, {}, 0};
             Rng data(seed + 100);
             for (int round = 0; round < 3; ++round) {
-                MlpWeights w(topo);
+                DeepWeights w(topo);
                 w.initRandom(data, 2.0);
                 w.hid(1, 2) = 0.0; // logical zeros elide like padding
                 w.out(0, 1) = 0.0;

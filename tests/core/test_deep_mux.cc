@@ -37,8 +37,8 @@ TEST(DeepMux, TwoStageStackMatchesFixedMlp)
     DeepWeights dw(t);
     Rng rng(3);
     dw.initRandom(rng, 1.2);
-    deep.setLayerWeights(dw);
-    ref.setLayerWeights(dw);
+    deep.setWeights(dw);
+    ref.setWeights(dw);
 
     for (int tcase = 0; tcase < 25; ++tcase) {
         std::vector<double> in(10);
@@ -58,7 +58,7 @@ TEST(DeepMux, ThreeHiddenLayersRun)
     DeepWeights w(t);
     Rng rng(5);
     w.initRandom(rng, 1.0);
-    deep.setLayerWeights(w);
+    deep.setWeights(w);
     std::vector<double> in(12, 0.5);
     Activations act = deep.forward(in);
     ASSERT_EQ(act.layers.size(), 4u);
@@ -92,7 +92,7 @@ TEST(DeepMux, TrainsOnIris)
     DeepMuxedNetwork deep(accel, DeepTopology{{4, 6, 5, 3}});
     Trainer trainer({5, 60, 0.3, 0.2});
     Rng rng(7);
-    trainer.trainLayers(deep, ds, rng);
+    trainer.train(deep, ds, rng);
     EXPECT_GT(evalAccuracy(deep, ds), 0.8);
 }
 
@@ -107,8 +107,8 @@ TEST(DeepMux, PhysicalDefectTouchesMultipleLayers)
     DeepWeights w(t);
     Rng rng(17);
     w.initRandom(rng, 1.0);
-    deep.setLayerWeights(w);
-    ref.setLayerWeights(w);
+    deep.setWeights(w);
+    ref.setWeights(w);
 
     UnitSite site{UnitKind::Activation, Layer::Hidden, 1, 0};
     accel.injectDefects(site, 25, rng);
@@ -137,7 +137,7 @@ TEST(DeepMux, CountersAggregateAcceleratorWork)
     DeepWeights w(t);
     Rng rng(23);
     w.initRandom(rng, 1.0);
-    deep.setLayerWeights(w);
+    deep.setWeights(w);
     UnitSite site{UnitKind::Multiplier, Layer::Hidden, 0, 2};
     accel.injectDefects(site, 10, rng);
 

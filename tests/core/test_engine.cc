@@ -10,9 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <fstream>
+#include <unistd.h>
 
 #include "core/campaign.hh"
+#include "service/journal.hh"
+#include "service/plan.hh"
+#include "service/runner.hh"
 
 namespace dtann {
 namespace {
@@ -167,6 +174,122 @@ TEST(Engine, CampaignJsonExportsParse)
     EXPECT_NE(json.find("\"task\":\"iris\""), std::string::npos);
     EXPECT_NE(json.find("\"defects\":0"), std::string::npos);
     EXPECT_NE(json.find("\"accuracy\":"), std::string::npos);
+}
+
+std::string
+journalPath(const std::string &stem)
+{
+    return testing::TempDir() + "dtann_claims_" + stem + "_" +
+        std::to_string(::getpid()) + ".jnl";
+}
+
+std::vector<std::string>
+journalLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
+}
+
+std::vector<std::string>
+sortedLines(const std::string &path)
+{
+    std::vector<std::string> lines = journalLines(path);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+/** Run @p spec journaled to @p path; returns the envelope. */
+std::string
+runJournaled(ScenarioSpec spec, const std::string &path)
+{
+    ResultJournal journal(path, spec.journalEcho());
+    spec.runConfig().journal = &journal;
+    return runScenario(spec).json;
+}
+
+TEST(Engine, ClaimsHeaviestCellsFirst)
+{
+    // Table order is d0, d2 x2, d5 x2; the claims run d5, d2, d0.
+    ScenarioSpec spec;
+    spec.kind = spec.name = "fig10";
+    spec.fig10 = tinyFig10();
+    spec.fig10.defectCounts = {0, 2, 5};
+    spec.fig10.threads = 0; // resolved from DTANN_THREADS below
+    size_t cells = planSpec(spec).cells;
+    ASSERT_EQ(cells, 5u);
+
+    // Table-order reference: one single-cell shard per flat index,
+    // run in index order against one journal, then replayed whole.
+    setenv("DTANN_THREADS", "1", 1);
+    std::string ref = journalPath("ref");
+    std::remove(ref.c_str());
+    for (size_t k = 0; k < cells; ++k) {
+        ScenarioSpec shard = spec;
+        shard.runConfig().shardCount = static_cast<int>(cells);
+        shard.runConfig().shardIndex = static_cast<int>(k);
+        runJournaled(shard, ref);
+    }
+    std::string expected = runJournaled(spec, ref);
+    std::vector<std::string> refLines = sortedLines(ref);
+    ASSERT_EQ(refLines.size(), cells + 1); // header + one per cell
+
+    // At one thread the claims are the completion order.
+    {
+        ScenarioSpec serial = spec;
+        std::vector<int> order;
+        serial.runConfig().onCellDone = [&](const CellReport &r) {
+            order.push_back(r.defects);
+        };
+        EXPECT_EQ(runScenario(serial).json, expected);
+        EXPECT_EQ(order, (std::vector<int>{5, 5, 2, 2, 0}));
+    }
+
+    for (const char *threads : {"1", "3"}) {
+        SCOPED_TRACE(std::string("DTANN_THREADS=") + threads);
+        setenv("DTANN_THREADS", threads, 1);
+        std::string path = journalPath(std::string("t") + threads);
+        std::remove(path.c_str());
+        EXPECT_EQ(runJournaled(spec, path), expected);
+        EXPECT_EQ(sortedLines(path), refLines);
+
+        // Kill after the first half of the journal, then resume.
+        std::vector<std::string> lines = journalLines(path);
+        {
+            std::ofstream out(path, std::ios::trunc);
+            for (size_t l = 0; l < lines.size() / 2 + 1; ++l)
+                out << lines[l] << "\n";
+        }
+        EXPECT_EQ(runJournaled(spec, path), expected);
+        EXPECT_EQ(sortedLines(path), refLines);
+        std::remove(path.c_str());
+    }
+
+    // Two shards, merged and replayed.
+    std::string shards[2] = {journalPath("s0"), journalPath("s1")};
+    std::string merged = journalPath("merged");
+    std::remove(merged.c_str());
+    for (int k = 0; k < 2; ++k) {
+        std::remove(shards[k].c_str());
+        ScenarioSpec worker = spec;
+        worker.runConfig().shardCount = 2;
+        worker.runConfig().shardIndex = k;
+        runJournaled(worker, shards[k]);
+    }
+    {
+        ResultJournal journal(merged, spec.journalEcho());
+        journal.absorb(shards[0]);
+        journal.absorb(shards[1]);
+    }
+    EXPECT_EQ(runJournaled(spec, merged), expected);
+    EXPECT_EQ(sortedLines(merged), refLines);
+
+    unsetenv("DTANN_THREADS");
+    for (const std::string &p : {ref, shards[0], shards[1], merged})
+        std::remove(p.c_str());
 }
 
 } // namespace

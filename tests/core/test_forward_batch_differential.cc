@@ -77,7 +77,7 @@ TEST(ForwardBatchDifferential, TimeMuxedMatchesScalar)
     MlpTopology logical{12, 12, 3}; // mux factor (12+3)/4 = 4
     int pure_runs = 0, fallback_runs = 0;
     for (uint64_t seed = 1; seed <= 8; ++seed) {
-        MlpWeights w(logical);
+        DeepWeights w(logical);
         Rng wr(seed * 11);
         w.initRandom(wr, 1.2);
 
@@ -119,7 +119,7 @@ TEST(ForwardBatchDifferential, SparedOutputsMatchScalar)
     AcceleratorConfig cfg = smallArray();
     cfg.outputs = 6; // 3 copies of each logical output
     for (uint64_t seed = 1; seed <= 4; ++seed) {
-        MlpWeights w(logical);
+        DeepWeights w(logical);
         Rng wr(seed * 19);
         w.initRandom(wr, 1.2);
 
@@ -156,7 +156,7 @@ TEST(ForwardBatchDifferential, RemappedOutputsMatchScalar)
         RemappedOutputMlp::extendedTopology(logical, cfg);
     std::vector<int> map{0, 3, 2}; // logical 1 steered to spare 3
     for (uint64_t seed = 1; seed <= 4; ++seed) {
-        MlpWeights w(logical);
+        DeepWeights w(logical);
         Rng wr(seed * 31);
         w.initRandom(wr, 1.2);
 
@@ -190,10 +190,10 @@ TEST(ForwardBatchDifferential, DeepStackMatchesScalar)
 
         Accelerator scalar_accel(smallArray(), {12, 4, 3});
         DeepMuxedNetwork scalar_model(scalar_accel, topo);
-        scalar_model.setLayerWeights(w);
+        scalar_model.setWeights(w);
         Accelerator batch_accel(smallArray(), {12, 4, 3});
         DeepMuxedNetwork batch_model(batch_accel, topo);
-        batch_model.setLayerWeights(w);
+        batch_model.setWeights(w);
 
         DefectInjector scalar_inj(scalar_accel,
                                   SitePool::inputAndHidden());
@@ -221,7 +221,7 @@ TEST(ForwardBatchDifferential, EnvKnobsPreserveBits)
     // by a single bit relative to the fast-path baseline.
     MlpTopology logical{12, 12, 3};
     const uint64_t seed = 3;
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng wr(seed);
     w.initRandom(wr, 1.2);
     Rng rr(seed * 61);
@@ -268,7 +268,7 @@ TEST(ForwardBatchDifferential, BatchBitIdenticalAcrossLaneWidths)
     // the fault-plane width underneath forwardBatch; no activation
     // bit may move across 64/256/512/auto.
     MlpTopology logical{12, 12, 3}; // mux factor 4
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng wr(5);
     w.initRandom(wr, 1.2);
 

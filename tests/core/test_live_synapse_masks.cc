@@ -64,7 +64,7 @@ struct FullScan
     }
 
     void
-    setWeights(const MlpWeights &w)
+    setWeights(const DeepWeights &w)
     {
         MlpTopology t = hw.topology();
         for (Layer pass : {Layer::Hidden, Layer::Output}) {
@@ -289,8 +289,8 @@ TEST(Backend, LiveSynapseMasksMatchTheFullScan)
                                  Fix16::fromDouble(0.9));
         });
         Rng data(seed + 100);
-        MlpWeights w(topo);
-        auto load = [&](const MlpWeights &weights) {
+        DeepWeights w(topo);
+        auto load = [&](const DeepWeights &weights) {
             hw->setWeights(weights);
             ref.setWeights(weights);
         };

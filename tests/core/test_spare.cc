@@ -41,7 +41,7 @@ TEST(Spare, CleanForwardEqualsUnsparedNetwork)
     SparedOutputMlp spared(spared_accel, logical);
     Accelerator plain_accel(smallArray(), logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(3);
     w.initRandom(rng, 1.5);
     spared.setWeights(w);
@@ -68,7 +68,7 @@ TEST(Spare, HalvesImpactOfOutputActivationFault)
     SparedOutputMlp spared(spared_accel, logical);
     Accelerator plain_accel(smallArray(), logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(5);
     w.initRandom(rng, 1.5);
     spared.setWeights(w);
@@ -113,7 +113,7 @@ TEST(Spare, MedianOfThreeRejectsSingleBrokenCopyExactly)
     SparedOutputMlp spared(accel, logical, 3);
     Accelerator clean(cfg, logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(7);
     w.initRandom(rng, 1.5);
     spared.setWeights(w);

@@ -35,7 +35,7 @@ TEST(EndToEnd, TrainedAcceleratorKernelAndFixedMlpAgreeBitwise)
     MlpTopology topo{13, 4, 3};
     Accelerator accel(cfg, topo);
     Rng rng(5);
-    MlpWeights w = Trainer({4, 40, 0.2, 0.1}).train(accel, ds, rng);
+    DeepWeights w = Trainer({4, 40, 0.2, 0.1}).train(accel, ds, rng);
 
     FixedMlp fixed(topo);
     fixed.setWeights(w);
@@ -71,7 +71,7 @@ TEST(EndToEnd, DmaStreamedInferenceEqualsDirectCalls)
     cfg.hidden = 4;
     cfg.outputs = 3;
     Accelerator accel(cfg, {4, 4, 3});
-    MlpWeights w({4, 4, 3});
+    DeepWeights w({4, 4, 3});
     Rng rng(9);
     w.initRandom(rng, 1.0);
     accel.setWeights(w);
@@ -177,7 +177,7 @@ TEST(EndToEnd, TimeMuxedDefectiveNetworkRetrains)
     Accelerator accel(cfg, {8, 3, 3});
     TimeMuxedMlp mux(accel, {4, 6, 3}); // 2 batches of hidden
     Rng rng(13);
-    MlpWeights w = Trainer({6, 40, 0.3, 0.1}).train(mux, ds, rng);
+    DeepWeights w = Trainer({6, 40, 0.3, 0.1}).train(mux, ds, rng);
     double clean = evalAccuracy(mux, ds);
     EXPECT_GT(clean, 0.7);
 
@@ -198,12 +198,12 @@ TEST(EndToEnd, SparedAndDecodedPathsCompose)
     MlpTopology logical{8, 4, 3};
     Accelerator accel(cfg, sparedTopology(logical, 2));
     SparedOutputMlp spared(accel, logical, 2);
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(17);
     w.initRandom(rng, 1.0);
 
     // Route the replicated weights through the write decoder.
-    MlpWeights dup(sparedTopology(logical, 2));
+    DeepWeights dup(sparedTopology(logical, 2));
     for (int j = 0; j < logical.hidden; ++j)
         for (int i = 0; i <= logical.inputs; ++i)
             dup.hid(j, i) = w.hid(j, i);

@@ -104,7 +104,7 @@ TEST(ReplicatedOutputMlp, CleanForwardMatchesPlainNetwork)
     EXPECT_EQ(rep.spareRowsUsed(), 3);
     Accelerator plain(smallArray(), logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(3);
     w.initRandom(rng, 1.5);
     rep.setWeights(w);
@@ -130,7 +130,7 @@ TEST(ReplicatedOutputMlp, BatchAgreesWithScalarForward)
                                         logical, smallArray()));
     ReplicatedOutputMlp rep(accel, logical, {{0, 3, 4}, {1}, {2, 5}});
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(11);
     w.initRandom(rng, 1.5);
     // Wreck one replicated row so the vote actually matters.
@@ -164,7 +164,7 @@ TEST(ReplicatedOutputMlp, MedianOfThreeRejectsBrokenCopyExactly)
     ReplicatedOutputMlp rep(accel, logical, {{0}, {1, 3, 4}, {2}});
     Accelerator clean(smallArray(), logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(7);
     w.initRandom(rng, 1.5);
     rep.setWeights(w);
@@ -195,7 +195,7 @@ TEST(ReplicatedOutputMlp, PairAverageHalvesDeviation)
     Accelerator plain(smallArray(), logical);
     Accelerator clean(smallArray(), logical);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(5);
     w.initRandom(rng, 1.5);
     rep.setWeights(w);
@@ -235,7 +235,7 @@ TEST(ReplicatedOutputMlp, VoteAgreesWithMedianVoteRule)
     std::vector<std::vector<int>> groups = {{0, 3, 4}, {1, 5}, {2}};
     ReplicatedOutputMlp rep(accel, logical, groups);
 
-    MlpWeights w(logical);
+    DeepWeights w(logical);
     Rng rng(13);
     w.initRandom(rng, 1.5);
     Rng inj(43);
