@@ -69,7 +69,7 @@ main()
         // Spared network, same defect seed against its primary
         // output stage.
         Accelerator a2(cfg, sparedTopology(logical, copies));
-        SparedOutputMlp spared(a2, logical, copies);
+        OutputGroupMlp spared(a2, logical, spareGroups(logical, copies));
         Rng t2 = rng.split();
         DeepWeights w2 = Trainer(hyper).train(spared, ds, t2);
         {

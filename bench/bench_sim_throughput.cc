@@ -468,7 +468,7 @@ BM_SpareForwardFaulty(benchmark::State &state)
         DefectInjector inj(*accel, SitePool::outputCritical());
         inj.inject(1, rng);
     } while (!accel->batchPure());
-    SparedOutputMlp spared(*accel, logical, 3);
+    OutputGroupMlp spared(*accel, logical, spareGroups(logical, 3));
     DeepWeights w(logical);
     Rng wr(7);
     w.initRandom(wr, 1.2);

@@ -110,6 +110,12 @@ class DeepWeights
     }
     /** @} */
 
+    /** The contiguous buffer, stage 0 first, addressed by index().
+     *  @{ */
+    std::span<double> flat() { return values; }
+    std::span<const double> flat() const { return values; }
+    /** @} */
+
     /** Position of at(s, j, i) in the contiguous buffer. */
     size_t index(size_t s, int j, int i) const
     {

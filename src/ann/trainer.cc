@@ -27,16 +27,18 @@ Trainer::train(ForwardModel &model, const Dataset &train_set, Rng &rng,
 
     // Pruned synapses stay at exactly zero: cleared out of the
     // warm start, and re-cleared after every update so neither the
-    // gradient step nor the momentum memory can revive them.
+    // gradient step nor the momentum memory can revive them. The
+    // mask is resolved to flat positions once (index() range-checks
+    // each entry); w and delta share the layout.
+    std::vector<size_t> pruned;
+    pruned.reserve(prune.size());
+    for (const PrunedSynapse &p : prune)
+        pruned.push_back(w.index(p.stage, p.neuron, p.input));
+    std::span<double> w_flat = w.flat(), delta_flat = delta.flat();
     auto applyPruneMask = [&] {
-        for (const PrunedSynapse &p : prune) {
-            dtann_assert(p.stage < topo.stages() && p.neuron >= 0 &&
-                             p.neuron < topo.layers[p.stage + 1] &&
-                             p.input >= 0 &&
-                             p.input <= topo.layers[p.stage],
-                         "prune mask out of topology range");
-            w.at(p.stage, p.neuron, p.input) = 0.0;
-            delta.at(p.stage, p.neuron, p.input) = 0.0;
+        for (size_t i : pruned) {
+            w_flat[i] = 0.0;
+            delta_flat[i] = 0.0;
         }
     };
     applyPruneMask();

@@ -13,29 +13,16 @@ sparedTopology(MlpTopology logical, int copies)
     return {logical.inputs, logical.hidden, copies * logical.outputs};
 }
 
-SparedOutputMlp::SparedOutputMlp(Accelerator &a, MlpTopology logical_topo,
-                                 int copy_count)
-    : accel(a), logical(logical_topo),
-      replicated(sparedTopology(logical_topo, copy_count)),
-      copies(copy_count), dup(replicated)
+std::vector<std::vector<int>>
+spareGroups(MlpTopology logical, int copies)
 {
-    dtann_assert(accel.topology() == replicated,
-                 "accelerator must be mapped with the replicated "
-                 "topology (use sparedTopology())");
-    dtann_assert(replicated.outputs <= accel.config().outputs,
-                 "not enough physical output neurons for spares");
-}
-
-void
-SparedOutputMlp::setWeights(const DeepWeights &w)
-{
-    dtann_assert(w.topology() == logical, "weight topology mismatch");
-    std::ranges::copy(w.stage(0), dup.stage(0).begin());
+    std::vector<std::vector<int>> groups(
+        static_cast<size_t>(logical.outputs));
     for (int k = 0; k < logical.outputs; ++k)
-        for (int j = 0; j <= logical.hidden; ++j)
-            for (int c = 0; c < copies; ++c)
-                dup.out(k + c * logical.outputs, j) = w.out(k, j);
-    accel.setWeights(dup);
+        for (int c = 0; c < copies; ++c)
+            groups[static_cast<size_t>(k)].push_back(
+                k + c * logical.outputs);
+    return groups;
 }
 
 double
@@ -53,45 +40,86 @@ medianVote(std::vector<double> &copy_vals)
     return 0.5 * (copy_vals[n / 2 - 1] + copy_vals[n / 2]);
 }
 
-namespace {
-
-/** Merge the replicated physical outputs of one row into the
- *  logical outputs via the shared vote rule. */
-Activations
-combineCopies(const Activations &phys, MlpTopology logical, int copies)
+OutputGroupMlp::OutputGroupMlp(HardwareBackend &a, MlpTopology logical_topo,
+                               std::vector<std::vector<int>> row_groups)
+    : accel(a), logical(logical_topo), groups(std::move(row_groups)),
+      phys(accel.topology())
 {
-    Activations act;
-    act.layers.resize(2);
-    act.hidden() = phys.hidden();
-    act.output().resize(static_cast<size_t>(logical.outputs));
-    std::vector<double> copy_vals(static_cast<size_t>(copies));
-    for (int k = 0; k < logical.outputs; ++k) {
-        for (int c = 0; c < copies; ++c)
-            copy_vals[static_cast<size_t>(c)] =
-                phys.output()[static_cast<size_t>(
-                    k + c * logical.outputs)];
-        act.output()[static_cast<size_t>(k)] =
-            medianVote(copy_vals);
+    MlpTopology mapped = accel.topology();
+    dtann_assert(mapped.inputs == logical.inputs &&
+                     mapped.hidden == logical.hidden,
+                 "array inputs/hidden must match the logical network");
+    dtann_assert(static_cast<int>(groups.size()) == logical.outputs,
+                 "output group arity mismatch");
+    std::vector<int> all;
+    for (const std::vector<int> &g : groups) {
+        dtann_assert(!g.empty(), "empty output group");
+        for (int row : g) {
+            dtann_assert(row >= 0 && row < mapped.outputs,
+                         "output group row out of physical range");
+            all.push_back(row);
+        }
     }
+    std::sort(all.begin(), all.end());
+    dtann_assert(std::adjacent_find(all.begin(), all.end()) ==
+                     all.end(),
+                 "output groups share a physical row");
+}
+
+int
+OutputGroupMlp::spareRowsUsed() const
+{
+    int n = 0;
+    for (const std::vector<int> &g : groups)
+        for (int row : g)
+            n += row >= logical.outputs;
+    return n;
+}
+
+void
+OutputGroupMlp::setWeights(const DeepWeights &w)
+{
+    dtann_assert(w.topology() == logical, "weight topology mismatch");
+    std::ranges::copy(w.stage(0), phys.stage(0).begin());
+    for (int k = 0; k < logical.outputs; ++k)
+        for (int j = 0; j <= logical.hidden; ++j)
+            for (int row : groups[static_cast<size_t>(k)])
+                phys.out(row, j) = w.out(k, j);
+    accel.setWeights(phys);
+}
+
+void
+OutputGroupMlp::vote(const Activations &phys_act, Activations &act) const
+{
+    std::copy_n(phys_act.hidden().begin(), logical.hidden,
+                act.hidden().begin());
+    std::vector<double> copy_vals;
+    for (size_t k = 0; k < groups.size(); ++k) {
+        copy_vals.clear();
+        for (int row : groups[k])
+            copy_vals.push_back(phys_act.output()[static_cast<size_t>(row)]);
+        act.output()[k] = medianVote(copy_vals);
+    }
+}
+
+Activations
+OutputGroupMlp::forward(std::span<const double> input)
+{
+    Activations act(static_cast<size_t>(logical.hidden),
+                    static_cast<size_t>(logical.outputs));
+    vote(accel.forward(input), act);
     return act;
 }
 
-} // namespace
-
-Activations
-SparedOutputMlp::forward(std::span<const double> input)
-{
-    return combineCopies(accel.forward(input), logical, copies);
-}
-
 std::vector<Activations>
-SparedOutputMlp::forwardBatch(std::span<const std::vector<double>> inputs)
+OutputGroupMlp::forwardBatch(std::span<const std::vector<double>> inputs)
 {
-    std::vector<Activations> phys = accel.forwardBatch(inputs);
+    std::vector<Activations> phys_acts = accel.forwardBatch(inputs);
     std::vector<Activations> acts;
-    acts.reserve(phys.size());
-    for (const Activations &p : phys)
-        acts.push_back(combineCopies(p, logical, copies));
+    acts.reserve(phys_acts.size());
+    for (const Activations &p : phys_acts)
+        vote(p, acts.emplace_back(static_cast<size_t>(logical.hidden),
+                                  static_cast<size_t>(logical.outputs)));
     return acts;
 }
 

@@ -8,8 +8,7 @@
 #include "ann/crossval.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "mitigate/remap.hh"
-#include "mitigate/replicate.hh"
+#include "mitigate/spare_rows.hh"
 
 namespace dtann {
 
@@ -282,40 +281,51 @@ class BypassFaultyMitigator : public Mitigator
     }
 };
 
-class RemapToSparesMitigator : public Mitigator
+/**
+ * The spare-output-row strategies (remap, replicate): BIST over
+ * every physical output row, a planner turns the map into output
+ * groups, and retraining runs through the group voter.
+ */
+class SpareRowsMitigator : public Mitigator
 {
   public:
-    Strategy kind() const override { return Strategy::RemapToSpares; }
+    explicit SpareRowsMitigator(Strategy s) : strategy(s) {}
+
+    Strategy kind() const override { return strategy; }
 
     MitigationOutcome
     run(const MitigationSetup &setup,
         const std::function<void(HardwareBackend &)> &inject,
         Rng &rng) override
     {
-        dtann_assert(
-            strategySupported(Strategy::RemapToSpares, setup.backend),
-            "remap requires the spatial backend");
+        dtann_assert(strategySupported(strategy, setup.backend),
+                     "%s requires the spatial backend", name().c_str());
         // Map the array with every physical output row addressable
-        // so spare rows can take over diagnosed-faulty ones.
+        // so spare rows can take over or back up diagnosed rows.
         Accelerator accel(setup.array,
-                          RemappedOutputMlp::extendedTopology(
-                              setup.logical, setup.array));
+                          spareRowTopology(setup.logical, setup.array));
         inject(accel);
 
         DefectMap map;
         DiagnosisReport report = diagnose(accel, setup.bist, rng, &map);
-        RemappedOutputMlp remapped(
+        OutputGroupMlp voted(
             accel, setup.logical,
-            planOutputRemap(map, setup.logical, setup.array));
+            strategy == Strategy::RemapToSpares
+                ? planOutputRemap(map, setup.logical, setup.array)
+                : planOutputReplication(map, setup.logical,
+                                        setup.array));
 
         MitigationOutcome out;
         out.coverage = report.coverage();
         out.diagnosed = static_cast<int>(map.size());
-        out.mitigatedUnits = remapped.remappedCount();
-        out.accuracy = retrainedAccuracy(remapped, setup, rng);
+        out.mitigatedUnits = voted.spareRowsUsed();
+        out.accuracy = retrainedAccuracy(voted, setup, rng);
         out.sim = accel.simCounters();
         return out;
     }
+
+  private:
+    Strategy strategy;
 };
 
 /** Clamp-profiling margin: one-sixteenth of a value unit beyond
@@ -376,43 +386,6 @@ class ClampActivationsMitigator : public Mitigator
     }
 };
 
-class ReplicateCriticalMitigator : public Mitigator
-{
-  public:
-    Strategy kind() const override
-    {
-        return Strategy::ReplicateCritical;
-    }
-
-    MitigationOutcome
-    run(const MitigationSetup &setup,
-        const std::function<void(HardwareBackend &)> &inject,
-        Rng &rng) override
-    {
-        dtann_assert(strategySupported(Strategy::ReplicateCritical,
-                                       setup.backend),
-                     "replicate requires the spatial backend");
-        Accelerator accel(setup.array,
-                          ReplicatedOutputMlp::extendedTopology(
-                              setup.logical, setup.array));
-        inject(accel);
-
-        DefectMap map;
-        DiagnosisReport report = diagnose(accel, setup.bist, rng, &map);
-        ReplicatedOutputMlp replicated(
-            accel, setup.logical,
-            planOutputReplication(map, setup.logical, setup.array));
-
-        MitigationOutcome out;
-        out.coverage = report.coverage();
-        out.diagnosed = static_cast<int>(map.size());
-        out.mitigatedUnits = replicated.spareRowsUsed();
-        out.accuracy = retrainedAccuracy(replicated, setup, rng);
-        out.sim = accel.simCounters();
-        return out;
-    }
-};
-
 } // namespace
 
 std::string
@@ -450,11 +423,10 @@ makeMitigator(Strategy s)
       case Strategy::BypassFaulty:
         return std::make_unique<BypassFaultyMitigator>();
       case Strategy::RemapToSpares:
-        return std::make_unique<RemapToSparesMitigator>();
+      case Strategy::ReplicateCritical:
+        return std::make_unique<SpareRowsMitigator>(s);
       case Strategy::ClampActivations:
         return std::make_unique<ClampActivationsMitigator>();
-      case Strategy::ReplicateCritical:
-        return std::make_unique<ReplicateCriticalMitigator>();
     }
     panic("bad strategy");
 }

@@ -16,7 +16,7 @@
  *                   the matching synapse-level prune mask on the
  *                   trainer's shadow weights — fault-aware pruning
  *                   in the style of Zhang et al. (arXiv:1802.04657).
- *  - RemapToSpares: BIST diagnosis, then steer logical outputs off
+ *  - RemapToSpares: BIST diagnosis, then move logical outputs off
  *                   diagnosed-faulty physical output rows onto
  *                   clean spare rows (map-driven use of the spare
  *                   output neurons the paper adds blindly), plus
@@ -35,6 +35,10 @@
  *                   median voter (RedMulE-FT style replication +
  *                   voting) — the suspect row stays in the vote, so
  *                   a median-of-3 tolerates a wrong diagnosis.
+ *
+ * RemapToSpares and ReplicateCritical differ only in their planner
+ * (mitigate/spare_rows): both run the same output-group voter
+ * (core/spare's OutputGroupMlp) the paper's blind spares use.
  */
 
 #ifndef DTANN_MITIGATE_MITIGATOR_HH

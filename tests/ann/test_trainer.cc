@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+
 #include "ann/crossval.hh"
 #include "ann/fixed_mlp.hh"
 #include "ann/trainer.hh"
@@ -137,6 +139,20 @@ TEST(Trainer, PruneMaskZeroesWarmStartWeights)
     pruned.setPruneMask({{1, 1, 2}});
     DeepWeights w = pruned.train(model, ds, rng, &init);
     EXPECT_EQ(w.out(1, 2), 0.0);
+}
+
+TEST(Trainer, PruneMaskRejectsSynapseOutsideTopology)
+{
+    // The mask is resolved against the model's layer stack before
+    // the first step; an entry past a layer's width (the bias column
+    // is the last valid input) is a caller bug.
+    Dataset ds = xorDataset();
+    FloatMlp model({2, 6, 2});
+    Trainer pruned({6, 1, 0.5, 0.5});
+    pruned.setPruneMask({{1, 0, 7}});
+    Rng rng(3);
+    EXPECT_EXIT(pruned.train(model, ds, rng),
+                ::testing::KilledBySignal(SIGABRT), "out of range");
 }
 
 TEST(Trainer, ArgmaxBasics)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Differential suite for the batched ForwardModel overrides: for
- * every accelerator-backed wrapper (time-muxed, spared outputs,
- * remapped outputs, deep stacks) forwardBatch() must be
+ * every accelerator-backed wrapper (time-muxed, output-group
+ * voters, deep stacks) forwardBatch() must be
  * bit-identical per row to scalar forward(), with defects injected
  * and under the DTANN_NO_BATCH / DTANN_NO_CONE escape hatches.
  *
@@ -21,7 +21,6 @@
 #include "core/injector.hh"
 #include "core/spare.hh"
 #include "core/timemux.hh"
-#include "mitigate/remap.hh"
 
 namespace dtann {
 namespace {
@@ -115,68 +114,57 @@ TEST(ForwardBatchDifferential, TimeMuxedMatchesScalar)
 
 TEST(ForwardBatchDifferential, SparedOutputsMatchScalar)
 {
-    MlpTopology logical{10, 4, 2};
-    AcceleratorConfig cfg = smallArray();
-    cfg.outputs = 6; // 3 copies of each logical output
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-        DeepWeights w(logical);
-        Rng wr(seed * 19);
-        w.initRandom(wr, 1.2);
+    // One output-group voter serves every spare-row plan: blind
+    // 3-copy spares, a row remapped onto a spare, and replicate vote
+    // groups. Each runs on an array mapped with every physical
+    // output row.
+    struct Plan
+    {
+        MlpTopology logical;
+        int outputs; // physical output rows
+        std::vector<std::vector<int>> groups;
+        SitePool pool;
+        uint64_t salt; // weight/defect/row seed base
+    };
+    const Plan plans[] = {
+        {{10, 4, 2}, 6, spareGroups({10, 4, 2}, 3),
+         SitePool::outputCritical(), 19},
+        {{10, 4, 3}, 5, {{0}, {3}, {2}}, SitePool::all(), 31},
+        {{10, 4, 3}, 6, {{0, 3, 4}, {1}, {2, 5}},
+         SitePool::outputCritical(), 47},
+    };
+    for (const Plan &plan : plans) {
+        AcceleratorConfig cfg = smallArray();
+        cfg.outputs = plan.outputs;
+        MlpTopology mapped{plan.logical.inputs, plan.logical.hidden,
+                           plan.outputs};
+        for (uint64_t seed = 1; seed <= 4; ++seed) {
+            DeepWeights w(plan.logical);
+            Rng wr(seed * plan.salt);
+            w.initRandom(wr, 1.2);
 
-        Accelerator scalar_accel(cfg, sparedTopology(logical, 3));
-        SparedOutputMlp scalar_model(scalar_accel, logical, 3);
-        scalar_model.setWeights(w);
-        Accelerator batch_accel(cfg, sparedTopology(logical, 3));
-        SparedOutputMlp batch_model(batch_accel, logical, 3);
-        batch_model.setWeights(w);
+            Accelerator scalar_accel(cfg, mapped);
+            OutputGroupMlp scalar_model(scalar_accel, plan.logical,
+                                        plan.groups);
+            scalar_model.setWeights(w);
+            Accelerator batch_accel(cfg, mapped);
+            OutputGroupMlp batch_model(batch_accel, plan.logical,
+                                       plan.groups);
+            batch_model.setWeights(w);
 
-        DefectInjector scalar_inj(scalar_accel,
-                                  SitePool::outputCritical());
-        DefectInjector batch_inj(batch_accel,
-                                 SitePool::outputCritical());
-        Rng ir_a(seed * 23), ir_b(seed * 23);
-        scalar_inj.inject(3, ir_a);
-        batch_inj.inject(3, ir_b);
+            DefectInjector scalar_inj(scalar_accel, plan.pool);
+            DefectInjector batch_inj(batch_accel, plan.pool);
+            Rng ir_a(seed * (plan.salt + 4)), ir_b(seed * (plan.salt + 4));
+            scalar_inj.inject(3, ir_a);
+            batch_inj.inject(3, ir_b);
 
-        Rng rr(seed * 29);
-        auto rows = randomRows(70, 10, rr);
-        expectBitIdentical(scalarSweep(scalar_model, rows),
-                           batch_model.forwardBatch(rows));
-        EXPECT_EQ(scalar_model.simCounters().vectors(),
-                  batch_model.simCounters().vectors());
-    }
-}
-
-TEST(ForwardBatchDifferential, RemappedOutputsMatchScalar)
-{
-    MlpTopology logical{10, 4, 3};
-    AcceleratorConfig cfg = smallArray();
-    cfg.outputs = 5; // two spare physical rows
-    MlpTopology extended =
-        RemappedOutputMlp::extendedTopology(logical, cfg);
-    std::vector<int> map{0, 3, 2}; // logical 1 steered to spare 3
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-        DeepWeights w(logical);
-        Rng wr(seed * 31);
-        w.initRandom(wr, 1.2);
-
-        Accelerator scalar_accel(cfg, extended);
-        RemappedOutputMlp scalar_model(scalar_accel, logical, map);
-        scalar_model.setWeights(w);
-        Accelerator batch_accel(cfg, extended);
-        RemappedOutputMlp batch_model(batch_accel, logical, map);
-        batch_model.setWeights(w);
-
-        DefectInjector scalar_inj(scalar_accel, SitePool::all());
-        DefectInjector batch_inj(batch_accel, SitePool::all());
-        Rng ir_a(seed * 37), ir_b(seed * 37);
-        scalar_inj.inject(3, ir_a);
-        batch_inj.inject(3, ir_b);
-
-        Rng rr(seed * 41);
-        auto rows = randomRows(70, 10, rr);
-        expectBitIdentical(scalarSweep(scalar_model, rows),
-                           batch_model.forwardBatch(rows));
+            Rng rr(seed * (plan.salt + 10));
+            auto rows = randomRows(70, 10, rr);
+            expectBitIdentical(scalarSweep(scalar_model, rows),
+                               batch_model.forwardBatch(rows));
+            EXPECT_EQ(scalar_model.simCounters().vectors(),
+                      batch_model.simCounters().vectors());
+        }
     }
 }
 

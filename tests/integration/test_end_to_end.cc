@@ -197,7 +197,7 @@ TEST(EndToEnd, SparedAndDecodedPathsCompose)
     cfg.outputs = 6;
     MlpTopology logical{8, 4, 3};
     Accelerator accel(cfg, sparedTopology(logical, 2));
-    SparedOutputMlp spared(accel, logical, 2);
+    OutputGroupMlp spared(accel, logical, spareGroups(logical, 2));
     DeepWeights w(logical);
     Rng rng(17);
     w.initRandom(rng, 1.0);

@@ -4,8 +4,8 @@
  * and ReplicateCritical race NoOp/RetrainOnly on identical
  * injection streams, and the whole campaign export must be
  * bit-identical across worker thread counts and DTANN_LANES plane
- * widths. (The replicate voter's agreement with the spare-array
- * median voter is covered in test_replicate.cc.)
+ * widths. (The output-group voter's agreement with the median
+ * rule is covered in tests/core/test_spare.cc.)
  */
 
 #include <gtest/gtest.h>

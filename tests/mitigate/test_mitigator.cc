@@ -1,7 +1,7 @@
 /**
  * @file
- * Mitigation strategies: remap planning, bypass bookkeeping, and
- * the Mitigator interface contracts.
+ * Mitigation strategies: bypass bookkeeping and the Mitigator
+ * interface contracts.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "core/campaign.hh"
 #include "data/synth_uci.hh"
 #include "mitigate/mitigator.hh"
-#include "mitigate/remap.hh"
 
 namespace dtann {
 namespace {
@@ -109,73 +108,6 @@ TEST(Strategy, FactoryRoundTrips)
         ASSERT_NE(m, nullptr);
         EXPECT_EQ(m->kind(), s);
         EXPECT_EQ(m->name(), strategyName(s));
-    }
-}
-
-TEST(PlanOutputRemap, CleanMapIsIdentity)
-{
-    Fixture &f = fixture();
-    std::vector<int> plan =
-        planOutputRemap(DefectMap(), f.logical, f.array);
-    EXPECT_EQ(plan, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(PlanOutputRemap, FaultyRowMovesToLowestCleanSpare)
-{
-    Fixture &f = fixture();
-    DefectMap map;
-    map.markSuspect({UnitKind::AdderStage, Layer::Output, 1, 0});
-    EXPECT_EQ(planOutputRemap(map, f.logical, f.array),
-              (std::vector<int>{0, 3, 2}));
-
-    // A faulty spare is skipped in favour of the next clean one.
-    map.markSuspect({UnitKind::Activation, Layer::Output, 3, 0});
-    EXPECT_EQ(planOutputRemap(map, f.logical, f.array),
-              (std::vector<int>{0, 4, 2}));
-
-    // Hidden-layer suspects do not trigger output remapping.
-    DefectMap hidden_only;
-    hidden_only.markSuspect({UnitKind::Multiplier, Layer::Hidden, 1, 2});
-    EXPECT_EQ(planOutputRemap(hidden_only, f.logical, f.array),
-              (std::vector<int>{0, 1, 2}));
-}
-
-TEST(PlanOutputRemap, DegradesGracefullyWhenSparesExhausted)
-{
-    Fixture &f = fixture();
-    DefectMap map; // every physical output row faulty
-    for (int n = 0; n < f.array.outputs; ++n)
-        map.markSuspect({UnitKind::Activation, Layer::Output, n, 0});
-    // No clean spare exists: faulty rows keep their position.
-    EXPECT_EQ(planOutputRemap(map, f.logical, f.array),
-              (std::vector<int>{0, 1, 2}));
-}
-
-TEST(RemappedOutputMlp, CleanForwardIsInvariantToRowChoice)
-{
-    Fixture &f = fixture();
-    MlpTopology ext =
-        RemappedOutputMlp::extendedTopology(f.logical, f.array);
-    EXPECT_EQ(ext.outputs, f.array.outputs);
-
-    Accelerator accel(f.array, ext);
-    RemappedOutputMlp identity(accel, f.logical, {0, 1, 2});
-    RemappedOutputMlp steered(accel, f.logical, {3, 1, 5});
-    EXPECT_EQ(identity.remappedCount(), 0);
-    EXPECT_EQ(steered.remappedCount(), 2);
-
-    Rng rng(7);
-    std::vector<double> in(4);
-    for (int trial = 0; trial < 10; ++trial) {
-        for (double &v : in)
-            v = rng.nextDouble();
-        identity.setWeights(f.baseline);
-        Activations a = identity.forward(in);
-        steered.setWeights(f.baseline);
-        Activations b = steered.forward(in);
-        // On a defect-free array a spare row computes exactly what
-        // the original row would have.
-        EXPECT_EQ(a.output(), b.output());
     }
 }
 
